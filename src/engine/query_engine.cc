@@ -424,7 +424,7 @@ std::unique_ptr<Expr> RewriteToInner(
 }  // namespace
 
 Result<Table> QueryEngine::ExecuteSql(const std::string& sql) {
-  return ExecuteSql(sql, query_ctx_);
+  return ExecuteSql(sql, nullptr);
 }
 
 Result<Table> QueryEngine::ExecuteSql(const std::string& sql,
@@ -467,7 +467,7 @@ struct TripDelta {
 }  // namespace
 
 Result<Table> QueryEngine::Execute(SelectStmt* stmt) {
-  return Execute(stmt, query_ctx_);
+  return Execute(stmt, nullptr);
 }
 
 Result<Table> QueryEngine::Execute(SelectStmt* stmt, QueryContext* qc) {
@@ -521,20 +521,19 @@ ThreadPool* QueryEngine::EnsurePool() {
   // First caller in wins; concurrent guarded queries sharing one engine all
   // reach the same pool.
   std::lock_guard<std::mutex> lock(pool_mu_);
-  std::shared_ptr<ThreadPool> pool = pool_.load(std::memory_order_acquire);
-  if (pool == nullptr) {
-    // The queue cap backpressures runaway fan-outs (ParallelFor degrades to
-    // fewer helpers instead of enqueueing unbounded work).
-    pool = std::make_shared<ThreadPool>(threads - 1, exec_.max_queued_tasks);
-    pool_.store(pool, std::memory_order_release);
-  }
-  return pool.get();
+  existing = CurrentPool();  // A sub-engine may hold a borrowed pool.
+  if (existing != nullptr) return existing;
+  // The queue cap backpressures runaway fan-outs (ParallelFor degrades to
+  // fewer helpers instead of enqueueing unbounded work).
+  pool_ = std::make_unique<ThreadPool>(threads - 1, exec_.max_queued_tasks);
+  pool_ptr_.store(pool_.get(), std::memory_order_release);
+  return pool_.get();
 }
 
 ThreadPool* QueryEngine::CurrentPool() const {
-  // The pool is created once and never replaced, so the raw pointer from a
-  // dropped shared_ptr load stays valid for the engine's lifetime.
-  return pool_.load(std::memory_order_acquire).get();
+  // The pool is created once and never replaced, so the pointer stays valid
+  // for the engine's lifetime.
+  return pool_ptr_.load(std::memory_order_acquire);
 }
 
 ExecContext QueryEngine::Ctx(QueryContext* qc, const SnapshotRef& snap) const {
@@ -585,7 +584,7 @@ bool HasLargeScan(const SelectStmt& stmt, const CatalogReader& catalog,
 
 Result<Table> QueryEngine::EvaluateBranch(const SelectStmt& stmt,
                                           const BoundQuery& bq) {
-  return EvaluateBranch(stmt, bq, query_ctx_);
+  return EvaluateBranch(stmt, bq, nullptr);
 }
 
 Result<Table> QueryEngine::EvaluateBranch(const SelectStmt& stmt,
@@ -844,8 +843,7 @@ Result<Table> QueryEngine::EvaluateHigherOrderGlobal(
   // The outer layer reuses this engine's workers and stays under the same
   // guards; it reads the scratch catalog's own (freshly built) snapshot,
   // never the query's pin, which belongs to the main catalog.
-  sub.pool_.store(pool_.load(std::memory_order_acquire),
-                  std::memory_order_release);
+  sub.pool_ptr_.store(CurrentPool(), std::memory_order_release);
   DV_ASSIGN_OR_RETURN(BoundQuery obq, Binder::BindBranch(outer.get()));
   return sub.EvaluateFirstOrder(*outer, obq, qc, scratch.Snapshot());
 }

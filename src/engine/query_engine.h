@@ -1,6 +1,7 @@
 #ifndef DYNVIEW_ENGINE_QUERY_ENGINE_H_
 #define DYNVIEW_ENGINE_QUERY_ENGINE_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -36,11 +37,10 @@ struct ExecContext;
 /// so a query's answer always equals its serial answer against a single
 /// catalog version, even with writers committing concurrently.
 ///
-/// Concurrency: the explicit-QueryContext overloads are safe to call from
-/// several threads on one engine (each call carries its own guard state and
-/// pin; the worker pool is created thread-safely and shared). The legacy
-/// `set_query_context` member remains for single-driver callers and must not
-/// be raced.
+/// Concurrency: every entry point is safe to call from several threads on
+/// one engine (each call carries its own guard state and pin; the worker pool
+/// is created thread-safely and shared). The overloads without a
+/// QueryContext run unguarded.
 class QueryEngine {
  public:
   /// `catalog` must outlive the engine. `default_db` resolves unqualified
@@ -60,13 +60,6 @@ class QueryEngine {
   /// Thread-safe (first caller creates, everyone shares). Exposed so
   /// cooperating components (e.g. ViewMaterializer) can share the pool.
   ThreadPool* EnsurePool();
-
-  /// Attaches (or detaches, with nullptr) the guard state enforced by every
-  /// subsequent *legacy* (no-QueryContext) execution. Borrowed — `qc` must
-  /// outlive the executions it guards. Single-driver only: concurrent
-  /// callers use the explicit-QueryContext overloads instead.
-  void set_query_context(QueryContext* qc) { query_ctx_ = qc; }
-  QueryContext* query_context() const { return query_ctx_; }
 
   /// The snapshot an execution under `qc` reads: the pin `qc` carries when
   /// it belongs to this engine's catalog, else the catalog's current
@@ -119,12 +112,13 @@ class QueryEngine {
   const Catalog* catalog_;
   std::string default_db_;
   ExecConfig exec_;
-  QueryContext* query_ctx_ = nullptr;  // Borrowed; null = unguarded (legacy).
-  /// Lazily created (guarded by pool_mu_, read via atomic load), shared with
-  /// sub-engines (the higher-order outer layer) so nested evaluation reuses
-  /// one set of workers.
+  /// Created on first use under pool_mu_ and never replaced; `pool_ptr_`
+  /// publishes it to lock-free readers. A sub-engine (the higher-order outer
+  /// layer) borrows its parent's pointer, so nested evaluation reuses one set
+  /// of workers.
   mutable std::mutex pool_mu_;
-  std::atomic<std::shared_ptr<ThreadPool>> pool_;
+  std::unique_ptr<ThreadPool> pool_;  // Guarded by pool_mu_.
+  std::atomic<ThreadPool*> pool_ptr_{nullptr};
   /// Compiled-program memo used when the query carries none of its own
   /// (ExecContext::programs; thread-safe, bounded). Mutable because program
   /// compilation is a cache fill, not a semantic change.

@@ -31,15 +31,9 @@ struct AuditReport;   // analyze/audit.h
 struct WhatIfReport;  // analyze/audit.h
 struct DdlOp;         // evolve/evolution.h
 
-/// Construction knobs for IntegrationSystem: the engine's ExecConfig plus
-/// the plan cache's bounds. Defaults match the pre-plan-cache behavior apart
-/// from repeated queries getting faster.
+/// Construction knobs for IntegrationSystem: the engine's ExecConfig.
 struct IntegrationOptions {
   ExecConfig exec;
-  /// Total cached plans across shards; 0 disables the plan cache (every
-  /// Answer takes the cold parse → rewrite path).
-  size_t plan_cache_capacity = 256;
-  size_t plan_cache_shards = 8;
 };
 
 /// Options for a guarded Answer call. `guards` bounds execution (deadline,
@@ -74,8 +68,7 @@ struct AnswerResult {
   /// True when the answer reused a cached plan (parse → rewrite skipped);
   /// false on the cold compile path. `plan_fingerprint` is the normalized
   /// query hash (16 hex digits, exact mode) the plan cache keyed on — empty
-  /// only when the query never reached the cache (unparseable, or the cache
-  /// is disabled).
+  /// only when the query never reached the cache (unparseable text).
   bool plan_cached = false;
   std::string plan_fingerprint;
 };
@@ -137,8 +130,8 @@ bool ParseEvolveRematTag(const std::string& tag, size_t* index,
 /// (legacy schema, interface schema, or index) is registered as an SQL or
 /// dynamic view *over* I whose materialization carries the actual data.
 /// Queries are posed against I and answered by rewriting them onto the
-/// registered sources (local-as-view query answering), optionally through
-/// the Sec. 6 optimizer.
+/// registered sources (local-as-view query answering); the Sec. 6 optimizer
+/// explains plans over the same sources and indexes.
 class IntegrationSystem {
  public:
   /// `integration_db` names the database inside `catalog` holding I's
@@ -252,7 +245,8 @@ class IntegrationSystem {
   /// registration order; `multiset` demands a bag-correct rewriting
   /// (Thm. 5.4), otherwise set-correctness (Thm. 5.2) suffices.
   /// Fails with NotFound if no registered source can answer the query and
-  /// I itself holds no data for it.
+  /// I itself holds no data for it. The table of AnswerGuarded with default
+  /// guards; the warnings are dropped.
   Result<Table> Answer(const std::string& sql, bool multiset);
 
   /// Like Answer, but executes under `options.guards`: the query observes
@@ -304,11 +298,8 @@ class IntegrationSystem {
   /// sources via the Sec. 5.2 re-aggregation machinery (Ex. 5.3).
   Result<TranslationResult> Rewrite(const std::string& sql, bool multiset);
 
-  /// Answers `sql` through the Sec. 6 optimizer (all registered sources and
-  /// indexes offered as access paths).
-  Result<Table> AnswerOptimized(const std::string& sql);
-
-  /// EXPLAIN for AnswerOptimized: the chosen plan, the view/index access
+  /// EXPLAIN through the Sec. 6 optimizer (all registered sources and
+  /// indexes offered as access paths): the chosen plan, the view/index access
   /// paths it uses, and the cost comparison against the baseline plan —
   /// without executing anything.
   Result<std::string> ExplainOptimized(const std::string& sql);
@@ -358,22 +349,19 @@ class IntegrationSystem {
                                         std::vector<SourceWarning>* stale,
                                         const ViewDefinition** chosen = nullptr);
 
-  /// The shared answer path behind AnswerGuarded and ExecutePrepared once a
-  /// cache key exists. `stmt` is the parsed statement when the caller has
-  /// it (null on a raw-memo hit — it is only needed, and then re-parsed, on
-  /// a cache miss). `cache_key` empty = caching disabled for this call.
-  Result<AnswerResult> AnswerWithCache(const std::string& sql,
-                                       const std::string& cache_key,
-                                       const std::string& fp_hex,
-                                       std::unique_ptr<SelectStmt> stmt,
-                                       const AnswerOptions& options,
-                                       QueryContext* ctx);
-
-  /// The pre-plan-cache AnswerGuarded body, kept verbatim for unparseable
-  /// SQL so error surfaces are unchanged.
-  Result<AnswerResult> AnswerUncached(const std::string& sql,
-                                      const AnswerOptions& options,
-                                      QueryContext* ctx);
+  /// The one answer path behind AnswerGuarded, ExecutePrepared and Answer:
+  /// pin the snapshot, look up the plan cache, on a miss rewrite (Alg. 5.1)
+  /// or fall back to the direct plan on I, execute, and assemble warnings.
+  /// `stmt` is the parsed statement when the caller has it (null on a
+  /// raw-memo hit — it is only needed, and then re-parsed, on a miss).
+  /// `cache_key` is empty for text that does not parse: the call neither
+  /// reads nor fills the cache.
+  Result<AnswerResult> AnswerCore(const std::string& sql,
+                                  const std::string& cache_key,
+                                  const std::string& fp_hex,
+                                  std::unique_ptr<SelectStmt> stmt,
+                                  const AnswerOptions& options,
+                                  QueryContext* ctx);
 
   /// Registration cores without the durability echo (the restore path uses
   /// them so replaying a WAL never re-appends to it).
@@ -412,10 +400,10 @@ class IntegrationSystem {
   mutable MetricsRegistry analyze_metrics_;
 
   /// Normalized-fingerprint plan cache: key = exact fingerprint + multiset
-  /// flag, version = pinned snapshot version. Cleared whenever the source /
-  /// index universe changes (RegisterSource, RegisterIndex).
-  mutable ShardedLruCache<CachedPlan> plan_cache_;
-  bool plan_cache_enabled_ = true;
+  /// flag, version = pinned snapshot version; 256 plans over 8 shards.
+  /// Cleared whenever the source / index universe changes (RegisterSource,
+  /// RegisterIndex).
+  mutable ShardedLruCache<CachedPlan> plan_cache_{256, 8};
 
   /// First cache level: raw SQL text (+ multiset flag) → (cache key, hex
   /// fingerprint). Repeated identical strings skip parsing AND

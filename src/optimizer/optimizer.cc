@@ -12,7 +12,6 @@
 #include "common/str_util.h"
 #include "core/normalize.h"
 #include "optimizer/stats.h"
-#include "plan_cache/fingerprint.h"
 #include "sql/parser.h"
 
 namespace dynview {
@@ -96,9 +95,6 @@ Optimizer::Optimizer(const Catalog* catalog, std::string default_db)
 
 void Optimizer::RegisterView(std::shared_ptr<ViewDefinition> view) {
   views_.push_back(std::move(view));
-  // A new access path can change every plan; version fencing alone cannot
-  // see it (registration is optimizer state, not a catalog commit).
-  plan_cache_.Clear();
 }
 
 void Optimizer::RegisterIndex(std::shared_ptr<ViewIndex> index,
@@ -110,7 +106,6 @@ void Optimizer::RegisterIndex(std::shared_ptr<ViewIndex> index,
   entry.key_attr = ToLower(key_attr);
   for (std::string& a : payload_attrs) entry.payload_attrs.push_back(ToLower(a));
   indexes_.push_back(std::move(entry));
-  plan_cache_.Clear();
 }
 
 Result<OptimizedPlan> Optimizer::Plan(const std::string& sql) const {
@@ -157,17 +152,9 @@ void CollectAccessPaths(const PlanNode& node, std::vector<std::string>* out) {
 }  // namespace
 
 Result<std::string> Optimizer::Explain(const std::string& sql) const {
-  bool cache_hit = false;
-  DV_ASSIGN_OR_RETURN(std::shared_ptr<const OptimizedPlan> chosen_sp,
-                      PlanCached(sql, /*allow_resources=*/true, &cache_hit));
-  const OptimizedPlan& chosen = *chosen_sp;
+  DV_ASSIGN_OR_RETURN(OptimizedPlan chosen, Plan(sql));
   DV_ASSIGN_OR_RETURN(OptimizedPlan baseline, PlanBaseline(sql));
-  std::string out =
-      cache_hit && chosen.snapshot != nullptr
-          ? "plan: cached@v" + std::to_string(chosen.snapshot->version()) +
-                "\n"
-          : "plan: compiled fresh\n";
-  out += "== chosen plan ==\n";
+  std::string out = "== chosen plan ==\n";
   out += chosen.Describe();
   out += "== access paths ==\n";
   std::vector<std::string> paths;
@@ -853,37 +840,6 @@ Result<Table> Optimizer::Execute(const OptimizedPlan& plan) const {
   QueryEngine top(&scratch, "sc");
   std::unique_ptr<SelectStmt> stmt = plan.stmt->Clone();
   return top.Execute(stmt.get());
-}
-
-Result<std::shared_ptr<const OptimizedPlan>> Optimizer::PlanCached(
-    const std::string& sql, bool allow_resources, bool* cache_hit) const {
-  if (cache_hit != nullptr) *cache_hit = false;
-  // Parse failures surface exactly as PlanInternal would raise them — the
-  // cache layer never changes an error message.
-  DV_ASSIGN_OR_RETURN(QueryFingerprint fp,
-                      FingerprintSql(sql, FingerprintMode::kExact));
-  // Full normalized text, not the 64-bit hash: an FNV collision between
-  // distinct queries must miss rather than serve the other query's plan.
-  const std::string key = (allow_resources ? "r|" : "b|") + fp.normalized;
-  const uint64_t version = catalog_->Snapshot()->version();
-  std::shared_ptr<const OptimizedPlan> hit = plan_cache_.Lookup(key, version);
-  if (hit != nullptr) {
-    if (cache_hit != nullptr) *cache_hit = true;
-    return hit;
-  }
-  DV_ASSIGN_OR_RETURN(OptimizedPlan plan, PlanInternal(sql, allow_resources));
-  auto sp = std::make_shared<const OptimizedPlan>(std::move(plan));
-  // Pin the entry to the version the plan was actually costed against (a
-  // writer may have committed between our version read and planning).
-  plan_cache_.Insert(
-      key, sp->snapshot != nullptr ? sp->snapshot->version() : version, sp);
-  return sp;
-}
-
-Result<Table> Optimizer::Run(const std::string& sql) const {
-  DV_ASSIGN_OR_RETURN(std::shared_ptr<const OptimizedPlan> plan,
-                      PlanCached(sql));
-  return Execute(*plan);
 }
 
 }  // namespace dynview

@@ -141,9 +141,26 @@ std::string Expr::ToString() const {
     case ExprKind::kColumnRef:
       return qualifier + "." + column.text;
     case ExprKind::kCompare:
-    case ExprKind::kArith:
       return left->ToString() + " " + BinaryOpName(op) + " " +
              right->ToString();
+    case ExprKind::kArith: {
+      // Parenthesize an operand that binds looser than this operator, and a
+      // right operand that binds equally, so the rendering re-parses to the
+      // same tree: (a + b) * c, a - (b - c). Plan-cache fingerprints and
+      // compiled-program memos key on this text.
+      auto binding = [](BinaryOp o) {
+        return o == BinaryOp::kMul || o == BinaryOp::kDiv ? 2 : 1;
+      };
+      auto operand = [&](const Expr& e, bool is_right) {
+        if (e.kind != ExprKind::kArith) return e.ToString();
+        const bool wrap = binding(e.op) < binding(op) ||
+                          (is_right && binding(e.op) == binding(op));
+        return wrap ? std::string("(").append(e.ToString()).append(")")
+                    : e.ToString();
+      };
+      return operand(*left, false) + " " + BinaryOpName(op) + " " +
+             operand(*right, true);
+    }
     case ExprKind::kLogic: {
       // Parenthesize OR under AND for unambiguous reading.
       std::string l = left->kind == ExprKind::kLogic && left->op != op

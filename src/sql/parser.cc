@@ -1,5 +1,8 @@
 #include "sql/parser.h"
 
+#include <algorithm>
+#include <charconv>
+
 #include "sql/lexer.h"
 
 namespace dynview {
@@ -68,6 +71,31 @@ Status Parser::ErrorHere(const std::string& message) const {
                             " at offset " + std::to_string(t.position) + ")");
 }
 
+Status Parser::TooDeep() const {
+  return ErrorHere("expression nesting exceeds " +
+                   std::to_string(kMaxExprHeight) + " levels");
+}
+
+Parser::Nesting::Nesting(Parser* parser) : parser_(parser) {
+  if (++parser_->depth_ > kMaxExprHeight) status_ = parser_->TooDeep();
+}
+
+namespace {
+
+/// Parses a whole numeric token; false when it is out of range for T.
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
+  return ec == std::errc() && end == text.data() + text.size();
+}
+
+}  // namespace
+
+Status Parser::SetHeight(int height) {
+  height_ = height;
+  return height > kMaxExprHeight ? TooDeep() : Status::OK();
+}
+
 bool Parser::AtIdentifier() const {
   switch (Peek().kind) {
     case TokenKind::kIdentifier:
@@ -116,6 +144,10 @@ Result<Statement> Parser::ParseStatement() {
 }
 
 Result<std::unique_ptr<SelectStmt>> Parser::ParseSelectStmt() {
+  if (++union_branches_ > kMaxUnionBranches) {
+    return ErrorHere("UNION chain exceeds " +
+                     std::to_string(kMaxUnionBranches) + " branches");
+  }
   DV_RETURN_IF_ERROR(Expect(TokenKind::kSelect, "query"));
   auto stmt = std::make_unique<SelectStmt>();
   stmt->distinct = Match(TokenKind::kDistinct);
@@ -159,10 +191,11 @@ Result<std::unique_ptr<SelectStmt>> Parser::ParseSelectStmt() {
     } while (Match(TokenKind::kComma));
   }
   if (Match(TokenKind::kLimit)) {
-    if (!Peek().is(TokenKind::kIntLiteral)) {
+    if (!Peek().is(TokenKind::kIntLiteral) ||
+        !ParseNumber(Peek().text, &stmt->limit)) {
       return ErrorHere("expected integer after LIMIT");
     }
-    stmt->limit = std::stoll(Advance().text);
+    Advance();
   }
   if (Peek().is(TokenKind::kUnion)) {
     Advance();
@@ -303,7 +336,9 @@ Result<std::unique_ptr<Expr>> Parser::ParseExpr() {
   DV_ASSIGN_OR_RETURN(auto left, ParseAnd());
   while (Peek().is(TokenKind::kOr)) {
     Advance();
+    const int left_height = height_;
     DV_ASSIGN_OR_RETURN(auto right, ParseAnd());
+    DV_RETURN_IF_ERROR(SetHeight(std::max(left_height, height_) + 1));
     left = Expr::MakeBinary(ExprKind::kLogic, BinaryOp::kOr, std::move(left),
                             std::move(right));
   }
@@ -314,7 +349,9 @@ Result<std::unique_ptr<Expr>> Parser::ParseAnd() {
   DV_ASSIGN_OR_RETURN(auto left, ParseNot());
   while (Peek().is(TokenKind::kAnd)) {
     Advance();
+    const int left_height = height_;
     DV_ASSIGN_OR_RETURN(auto right, ParseNot());
+    DV_RETURN_IF_ERROR(SetHeight(std::max(left_height, height_) + 1));
     left = Expr::MakeBinary(ExprKind::kLogic, BinaryOp::kAnd, std::move(left),
                             std::move(right));
   }
@@ -323,7 +360,10 @@ Result<std::unique_ptr<Expr>> Parser::ParseAnd() {
 
 Result<std::unique_ptr<Expr>> Parser::ParseNot() {
   if (Match(TokenKind::kNot)) {
+    Nesting nesting(this);
+    DV_RETURN_IF_ERROR(nesting.status());
     DV_ASSIGN_OR_RETURN(auto inner, ParseNot());
+    DV_RETURN_IF_ERROR(SetHeight(height_ + 1));
     return Expr::MakeNot(std::move(inner));
   }
   return ParseComparison();
@@ -331,6 +371,7 @@ Result<std::unique_ptr<Expr>> Parser::ParseNot() {
 
 Result<std::unique_ptr<Expr>> Parser::ParseComparison() {
   DV_ASSIGN_OR_RETURN(auto left, ParseAdditive());
+  const int left_height = height_;
   switch (Peek().kind) {
     case TokenKind::kEq:
     case TokenKind::kNotEq:
@@ -349,11 +390,13 @@ Result<std::unique_ptr<Expr>> Parser::ParseComparison() {
         default: op = BinaryOp::kGreaterEq; break;
       }
       DV_ASSIGN_OR_RETURN(auto right, ParseAdditive());
+      DV_RETURN_IF_ERROR(SetHeight(std::max(left_height, height_) + 1));
       return Expr::MakeCompare(op, std::move(left), std::move(right));
     }
     case TokenKind::kLike: {
       Advance();
       DV_ASSIGN_OR_RETURN(auto right, ParseAdditive());
+      DV_RETURN_IF_ERROR(SetHeight(std::max(left_height, height_) + 1));
       return Expr::MakeBinary(ExprKind::kLike, BinaryOp::kEq, std::move(left),
                               std::move(right));
     }
@@ -361,6 +404,7 @@ Result<std::unique_ptr<Expr>> Parser::ParseComparison() {
       Advance();
       bool negated = Match(TokenKind::kNot);
       DV_RETURN_IF_ERROR(Expect(TokenKind::kNull, "IS NULL"));
+      DV_RETURN_IF_ERROR(SetHeight(left_height + 1));
       return Expr::MakeIsNull(std::move(left), negated);
     }
     case TokenKind::kBetween:
@@ -376,8 +420,13 @@ Result<std::unique_ptr<Expr>> Parser::ParseComparison() {
       }
       if (Match(TokenKind::kBetween)) {
         DV_ASSIGN_OR_RETURN(auto lo, ParseAdditive());
+        const int lo_height = height_;
         DV_RETURN_IF_ERROR(Expect(TokenKind::kAnd, "BETWEEN"));
         DV_ASSIGN_OR_RETURN(auto hi, ParseAdditive());
+        // (left >= lo AND left <= hi), under NOT when negated.
+        DV_RETURN_IF_ERROR(
+            SetHeight(std::max({left_height, lo_height, height_}) + 2 +
+                      (negated ? 1 : 0)));
         auto ge = Expr::MakeCompare(BinaryOp::kGreaterEq, left->Clone(),
                                     std::move(lo));
         auto le = Expr::MakeCompare(BinaryOp::kLessEq, std::move(left),
@@ -389,8 +438,12 @@ Result<std::unique_ptr<Expr>> Parser::ParseComparison() {
       DV_RETURN_IF_ERROR(Expect(TokenKind::kIn, "IN list"));
       DV_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "IN list"));
       std::unique_ptr<Expr> disjunction;
+      int height = 0;  // Of the left-deep OR chain built so far.
       do {
         DV_ASSIGN_OR_RETURN(auto item, ParseAdditive());
+        const int eq_height = std::max(left_height, height_) + 1;
+        height = disjunction ? std::max(height, eq_height) + 1 : eq_height;
+        DV_RETURN_IF_ERROR(SetHeight(height));
         auto eq =
             Expr::MakeCompare(BinaryOp::kEq, left->Clone(), std::move(item));
         if (!disjunction) {
@@ -401,6 +454,7 @@ Result<std::unique_ptr<Expr>> Parser::ParseComparison() {
         }
       } while (Match(TokenKind::kComma));
       DV_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "IN list"));
+      DV_RETURN_IF_ERROR(SetHeight(height + (negated ? 1 : 0)));
       return negated ? Expr::MakeNot(std::move(disjunction))
                      : std::move(disjunction);
     }
@@ -414,7 +468,9 @@ Result<std::unique_ptr<Expr>> Parser::ParseAdditive() {
   while (Peek().is(TokenKind::kPlus) || Peek().is(TokenKind::kMinus)) {
     BinaryOp op =
         Advance().kind == TokenKind::kPlus ? BinaryOp::kAdd : BinaryOp::kSub;
+    const int left_height = height_;
     DV_ASSIGN_OR_RETURN(auto right, ParseMultiplicative());
+    DV_RETURN_IF_ERROR(SetHeight(std::max(left_height, height_) + 1));
     left = Expr::MakeBinary(ExprKind::kArith, op, std::move(left),
                             std::move(right));
   }
@@ -426,7 +482,9 @@ Result<std::unique_ptr<Expr>> Parser::ParseMultiplicative() {
   while (Peek().is(TokenKind::kStar) || Peek().is(TokenKind::kSlash)) {
     BinaryOp op =
         Advance().kind == TokenKind::kStar ? BinaryOp::kMul : BinaryOp::kDiv;
+    const int left_height = height_;
     DV_ASSIGN_OR_RETURN(auto right, ParsePrimary());
+    DV_RETURN_IF_ERROR(SetHeight(std::max(left_height, height_) + 1));
     left = Expr::MakeBinary(ExprKind::kArith, op, std::move(left),
                             std::move(right));
   }
@@ -435,14 +493,19 @@ Result<std::unique_ptr<Expr>> Parser::ParseMultiplicative() {
 
 Result<std::unique_ptr<Expr>> Parser::ParsePrimary() {
   const Token& t = Peek();
+  height_ = 1;  // Leaves; nested forms below set their own height.
   switch (t.kind) {
     case TokenKind::kIntLiteral: {
+      int64_t v = 0;
+      if (!ParseNumber(t.text, &v)) return ErrorHere("integer out of range");
       Advance();
-      return Expr::MakeLiteral(Value::Int(std::stoll(t.text)));
+      return Expr::MakeLiteral(Value::Int(v));
     }
     case TokenKind::kDoubleLiteral: {
+      double v = 0;
+      if (!ParseNumber(t.text, &v)) return ErrorHere("number out of range");
       Advance();
-      return Expr::MakeLiteral(Value::Double(std::stod(t.text)));
+      return Expr::MakeLiteral(Value::Double(v));
     }
     case TokenKind::kStringLiteral: {
       std::string text = t.text;
@@ -465,13 +528,18 @@ Result<std::unique_ptr<Expr>> Parser::ParsePrimary() {
       Advance();
       return Expr::MakeLiteral(Value::Bool(false));
     case TokenKind::kMinus: {
+      Nesting nesting(this);
+      DV_RETURN_IF_ERROR(nesting.status());
       Advance();
       DV_ASSIGN_OR_RETURN(auto inner, ParsePrimary());
+      DV_RETURN_IF_ERROR(SetHeight(height_ + 1));  // (0 - inner).
       return Expr::MakeBinary(ExprKind::kArith, BinaryOp::kSub,
                               Expr::MakeLiteral(Value::Int(0)),
                               std::move(inner));
     }
     case TokenKind::kLParen: {
+      Nesting nesting(this);
+      DV_RETURN_IF_ERROR(nesting.status());
       Advance();
       DV_ASSIGN_OR_RETURN(auto inner, ParseExpr());
       DV_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "parenthesized expression"));
@@ -489,8 +557,11 @@ Result<std::unique_ptr<Expr>> Parser::ParsePrimary() {
         return Expr::MakeAgg(AggFunc::kCountStar, nullptr, false);
       }
       bool distinct = Match(TokenKind::kDistinct);
+      Nesting nesting(this);
+      DV_RETURN_IF_ERROR(nesting.status());
       DV_ASSIGN_OR_RETURN(auto arg, ParseAdditive());
       DV_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "aggregate"));
+      DV_RETURN_IF_ERROR(SetHeight(height_ + 1));
       AggFunc f;
       switch (fk) {
         case TokenKind::kCount: f = AggFunc::kCount; break;
@@ -516,10 +587,14 @@ Result<std::unique_ptr<Expr>> Parser::ParsePrimary() {
                           : ExprKind::kHasWord;
       const char* what = kind == ExprKind::kContains ? "CONTAINS" : "HASWORD";
       DV_RETURN_IF_ERROR(Expect(TokenKind::kLParen, what));
+      Nesting nesting(this);
+      DV_RETURN_IF_ERROR(nesting.status());
       DV_ASSIGN_OR_RETURN(auto l, ParseAdditive());
+      const int l_height = height_;
       DV_RETURN_IF_ERROR(Expect(TokenKind::kComma, what));
       DV_ASSIGN_OR_RETURN(auto r, ParseAdditive());
       DV_RETURN_IF_ERROR(Expect(TokenKind::kRParen, what));
+      DV_RETURN_IF_ERROR(SetHeight(std::max(l_height, height_) + 1));
       return Expr::MakeBinary(kind, BinaryOp::kEq, std::move(l), std::move(r));
     }
     default:

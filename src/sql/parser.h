@@ -43,7 +43,33 @@ class Parser {
   static Result<std::unique_ptr<CreateIndexStmt>> ParseCreateIndex(
       const std::string& input);
 
+  /// Bounds every later recursive pass can assume (binder, Expr::ToString,
+  /// fingerprint, normalize, compile, and the unique_ptr destructor chain):
+  /// the height of one expression tree — NOT and unary-minus chains,
+  /// function arguments and left-deep binary-operator chains each add a
+  /// level — and the number of SELECT branches one UNION chain may join.
+  /// Parenthesis nesting counts against kMaxExprHeight too: each level costs
+  /// the parser seven frames (~17 KB under AddressSanitizer), so 256 levels
+  /// stay near half of an 8 MiB stack. Input beyond either bound is a
+  /// ParseError naming the offending token.
+  static constexpr int kMaxExprHeight = 256;
+  static constexpr int kMaxUnionBranches = 500;
+
  private:
+  /// One level of recursive descent into a nested expression (parentheses,
+  /// NOT, unary minus, aggregate and CONTAINS/HASWORD arguments), held for
+  /// the life of the nested parse; fails past kMaxExprHeight open levels.
+  class Nesting {
+   public:
+    explicit Nesting(Parser* parser);
+    ~Nesting() { --parser_->depth_; }
+    const Status& status() const { return status_; }
+
+   private:
+    Parser* parser_;
+    Status status_;
+  };
+
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   const Token& Peek(size_t ahead = 0) const;
@@ -51,6 +77,11 @@ class Parser {
   bool Match(TokenKind kind);
   Status Expect(TokenKind kind, const char* context);
   Status ErrorHere(const std::string& message) const;
+  /// The ParseError for input past kMaxExprHeight.
+  Status TooDeep() const;
+  /// Records `height` as the height of the expression just parsed; fails
+  /// once it exceeds kMaxExprHeight.
+  Status SetHeight(int height);
 
   Result<Statement> ParseStatement();
   Result<std::unique_ptr<SelectStmt>> ParseSelectStmt();
@@ -79,6 +110,12 @@ class Parser {
   size_t pos_ = 0;
   /// Next `?` parameter ordinal, assigned in left-to-right parse order.
   int next_param_index_ = 0;
+  /// Height of the expression the last expression Parse* call returned.
+  int height_ = 0;
+  /// Open Nesting levels.
+  int depth_ = 0;
+  /// SELECT branches of the UNION chain parsed so far.
+  int union_branches_ = 0;
 };
 
 }  // namespace dynview

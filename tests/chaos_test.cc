@@ -433,12 +433,14 @@ TEST_F(ChaosTest, DdlRacingFencedMaterializationDegradesToWarning) {
   for (int t = 0; t < kQueryThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kQueriesPerThread; ++i) {
-        auto r = system.AnswerGuarded(query, options);
-        std::shared_ptr<const CatalogSnapshot> snap =
-            r.ok() ? r.value().snapshot : catalog_.Snapshot();
+        // Pin the version up front so a failed answer is replayed against
+        // the same snapshot it read, not a later one.
         QueryContext qc;
-        qc.PinSnapshot(snap);
-        auto ref = direct.ExecuteSql(query, &qc);
+        qc.PinSnapshot(catalog_.Snapshot());
+        auto r = system.AnswerGuarded(query, options, &qc);
+        QueryContext replay;
+        replay.PinSnapshot(qc.snapshot());
+        auto ref = direct.ExecuteSql(query, &replay);
         if (r.ok() != ref.ok()) {
           violation("answer ok=" + std::string(r.ok() ? "1" : "0") +
                     " but direct ok=" + (ref.ok() ? "1" : "0"));

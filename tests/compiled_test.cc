@@ -11,6 +11,9 @@
 //    `plan_cache.lookup` failpoint;
 //  - prepared queries must bind positionally, share cached plans across
 //    repeats and with equivalent ad-hoc SQL, and reject arity mismatches;
+//  - AnswerGuarded, ExecutePrepared and Answer share one answer path: its
+//    unparseable-SQL status, error precedence and vanished-materialization
+//    degrade are pinned on both a cache hit and a cold miss;
 //  - the Ex. 5.2 / Ex. 5.3 golden rewritings must answer identically
 //    through the cache (the goldens themselves live in
 //    golden_translation_test; here we pin the cached execution to them);
@@ -402,38 +405,21 @@ TEST_F(PlanCacheTest, PoisonedLookupDegradesToFreshCompile) {
 }
 
 TEST_F(PlanCacheTest, BoundedCapacityEvicts) {
-  IntegrationOptions opts;
-  opts.plan_cache_capacity = 4;
-  opts.plan_cache_shards = 1;
-  IntegrationSystem tiny(&catalog_, "I", opts);
-  ASSERT_TRUE(tiny.RegisterSource(kFig6SourceSql).ok());
-  for (int p = 0; p < 12; ++p) {
-    auto r = tiny.AnswerGuarded(
+  // The cache holds 256 plans; 300 distinct literals overflow it.
+  for (int p = 0; p < 300; ++p) {
+    auto r = system_->AnswerGuarded(
         "select C, P from I::stock T, T.company C, T.price P where P > " +
             std::to_string(100 + p),
         Multiset());
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
-  PlanCacheStats stats = tiny.plan_cache_stats();
+  PlanCacheStats stats = system_->plan_cache_stats();
   EXPECT_GT(stats.evictions, 0u);
   // Evicted plans recompile correctly.
-  auto again = tiny.AnswerGuarded(
+  auto again = system_->AnswerGuarded(
       "select C, P from I::stock T, T.company C, T.price P where P > 100",
       Multiset());
   ASSERT_TRUE(again.ok());
-}
-
-TEST_F(PlanCacheTest, ZeroCapacityDisablesCaching) {
-  IntegrationOptions opts;
-  opts.plan_cache_capacity = 0;
-  IntegrationSystem uncached(&catalog_, "I", opts);
-  ASSERT_TRUE(uncached.RegisterSource(kFig6SourceSql).ok());
-  auto a = uncached.AnswerGuarded(kFig6Query, Multiset());
-  auto b = uncached.AnswerGuarded(kFig6Query, Multiset());
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_FALSE(b.value().plan_cached);
-  EXPECT_EQ(a.value().table.ToString(), b.value().table.ToString());
 }
 
 // ---- prepared queries ------------------------------------------------------
@@ -495,6 +481,24 @@ TEST_F(PlanCacheTest, QuotedLiteralsNeverShareAPlan) {
   EXPECT_NE(b.value().plan_fingerprint, a.value().plan_fingerprint);
 }
 
+TEST_F(PlanCacheTest, ArithmeticGroupingNeverSharesAPlan) {
+  // P > 100 + 50 * 2 and P > (100 + 50) * 2 differ only in grouping; a
+  // rendering without parentheses would give both one fingerprint and serve
+  // the second query the first one's plan.
+  const std::string base =
+      "select C, P from I::stock T, T.company C, T.price P where P > ";
+  auto a = system_->AnswerGuarded(base + "100 + 50 * 2", Multiset());
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  auto b = system_->AnswerGuarded(base + "(100 + 50) * 2", Multiset());
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_FALSE(b.value().plan_cached);
+  EXPECT_NE(b.value().plan_fingerprint, a.value().plan_fingerprint);
+  auto expected = system_->AnswerGuarded(base + "300", Multiset());
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(b.value().table.ToString(), expected.value().table.ToString());
+  EXPECT_NE(a.value().table.ToString(), b.value().table.ToString());
+}
+
 TEST_F(PlanCacheTest, PreparedStringParameterIsNeverInjected) {
   auto prepared = system_->Prepare(
       "select C, P from I::stock T, T.company C, T.price P where C = ?");
@@ -523,6 +527,176 @@ TEST_F(PlanCacheTest, PreparedArityMismatchRejected) {
   auto extra = system_->ExecutePrepared(
       *prepared.value(), {Value::Int(1), Value::Int(2)}, Multiset());
   EXPECT_EQ(extra.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---- one answer path: characterization -------------------------------------
+//
+// AnswerGuarded, ExecutePrepared and Answer share one answer path. These pin
+// the surfaces no other test covers: the unparseable-SQL status, the
+// vanished-materialization degrade on a cache hit and on a cold miss, the
+// error precedence between the rewrite and the direct plan, and Answer as a
+// projection of AnswerGuarded.
+
+constexpr char kAllStockSourceSql[] =
+    "create view s2x::allstock(company, date, price) as "
+    "select C, D, P from I::stock T, T.company C, T.date D, T.price P";
+
+constexpr char kVanishedWarning[] =
+    "Unavailable: stale materialization: failpoint 'catalog.resolve' "
+    "injected NotFound at s2x::allstock; answered from the direct plan on I";
+
+class AnswerPathTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    StockGenConfig cfg;
+    cfg.num_companies = 5;
+    cfg.num_dates = 10;
+    // I holds the data (so the direct plan on I can answer); I::extra is a
+    // relation no source covers.
+    ASSERT_TRUE(InstallStockS1(&catalog_, "I", GenerateStockS1(cfg)).ok());
+    Table extra(Schema({{"x", TypeKind::kInt}}));
+    for (int i = 0; i < 50; ++i) ASSERT_TRUE(extra.AppendRow({Value::Int(i)}).ok());
+    ASSERT_TRUE(catalog_.PutTable("I", "extra", std::move(extra)).ok());
+    system_ = std::make_unique<IntegrationSystem>(&catalog_, "I");
+    ASSERT_TRUE(
+        system_->RegisterAndMaterializeSource(kAllStockSourceSql).ok());
+  }
+
+  void TearDown() override { FailPoints::DisarmAll(); }
+
+  /// Makes the source's materialization relation resolve as NotFound — what
+  /// a drop outside the source's staleness fence looks like to execution.
+  static void VanishMaterialization() {
+    FailSpec spec;
+    spec.mode = FailMode::kErrorAlways;
+    spec.code = StatusCode::kNotFound;
+    spec.match = "s2x::allstock";
+    FailPoints::Arm("catalog.resolve", spec);
+  }
+
+  std::string DirectOnI(const std::string& sql) {
+    QueryEngine direct(&catalog_, "I");
+    Result<Table> t = direct.ExecuteSql(sql);
+    EXPECT_TRUE(t.ok()) << t.status().ToString();
+    return t.ok() ? t.value().ToString() : std::string();
+  }
+
+  static AnswerOptions Multiset() {
+    AnswerOptions opts;
+    opts.multiset = true;
+    return opts;
+  }
+
+  Catalog catalog_;
+  std::unique_ptr<IntegrationSystem> system_;
+};
+
+TEST_F(AnswerPathTest, UnparseableSqlStatus) {
+  const std::string garbage = "select from where";
+  for (int i = 0; i < 2; ++i) {  // The second call must not differ.
+    auto r = system_->AnswerGuarded(garbage, Multiset());
+    EXPECT_EQ(r.status().ToString(),
+              "NotFound: no registered source can answer the query: expected "
+              "expression (got FROM 'from' at offset 7)")
+        << "call " << i;
+  }
+  EXPECT_EQ(system_->Prepare(garbage).status().ToString(),
+            "ParseError: expected expression (got FROM 'from' at offset 7)");
+  // A bound double renders as "1e+20", which the rewriters cannot parse
+  // back: the prepared query still answers, from the direct plan on I.
+  auto prepared = system_->Prepare(
+      "select C, P from I::stock T, T.company C, T.price P where P > ?");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto r = system_->ExecutePrepared(*prepared.value(), {Value::Double(1e20)},
+                                    Multiset());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().table.num_rows(), 0u);
+  EXPECT_TRUE(r.value().warnings.empty());
+}
+
+TEST_F(AnswerPathTest, VanishedMaterializationOnColdMiss) {
+  const std::string q = kFig6Query;
+  VanishMaterialization();
+  auto cold = system_->AnswerGuarded(q, Multiset());
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_FALSE(cold.value().plan_cached);
+  ASSERT_EQ(cold.value().warnings.size(), 1u);
+  EXPECT_EQ(cold.value().warnings[0].source, "s2x::allstock");
+  EXPECT_EQ(cold.value().warnings[0].status.ToString(), kVanishedWarning);
+  FailPoints::DisarmAll();
+  EXPECT_EQ(cold.value().table.ToString(), DirectOnI(q));
+  // The entry was erased: the next call compiles afresh, warning-free.
+  auto next = system_->AnswerGuarded(q, Multiset());
+  ASSERT_TRUE(next.ok());
+  EXPECT_FALSE(next.value().plan_cached);
+  EXPECT_TRUE(next.value().warnings.empty());
+}
+
+TEST_F(AnswerPathTest, VanishedMaterializationOnCacheHit) {
+  const std::string q = kFig6Query;
+  auto warm = system_->AnswerGuarded(q, Multiset());
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_TRUE(warm.value().warnings.empty());
+  VanishMaterialization();
+  auto hit = system_->AnswerGuarded(q, Multiset());
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_TRUE(hit.value().plan_cached);
+  ASSERT_EQ(hit.value().warnings.size(), 1u);
+  // Same warning text as the cold-miss degrade.
+  EXPECT_EQ(hit.value().warnings[0].source, "s2x::allstock");
+  EXPECT_EQ(hit.value().warnings[0].status.ToString(), kVanishedWarning);
+  FailPoints::DisarmAll();
+  EXPECT_EQ(hit.value().table.ToString(), DirectOnI(q));
+  auto next = system_->AnswerGuarded(q, Multiset());
+  ASSERT_TRUE(next.ok());
+  EXPECT_FALSE(next.value().plan_cached);
+  EXPECT_TRUE(next.value().warnings.empty());
+}
+
+TEST_F(AnswerPathTest, RewriteNotFoundWinsOverDirectFailure) {
+  // I has no `nosuch` relation either, so the direct plan fails too; the
+  // rewrite's reason is what the caller sees.
+  constexpr char kNoSourceStatus[] =
+      "NotFound: no registered source can answer the query: view not usable: "
+      "no query tuple variable ranges over i::stock (Def. 5.1)";
+  const std::string q = "select X from I::nosuch T, T.x X";
+  for (int i = 0; i < 2; ++i) {  // Cold, then through the raw-SQL memo.
+    auto r = system_->AnswerGuarded(q, Multiset());
+    EXPECT_EQ(r.status().ToString(), kNoSourceStatus) << "call " << i;
+  }
+  auto prepared = system_->Prepare(q + " where X = ?");
+  ASSERT_TRUE(prepared.ok());
+  auto p = system_->ExecutePrepared(*prepared.value(), {Value::Int(1)},
+                                    Multiset());
+  EXPECT_EQ(p.status().ToString(), kNoSourceStatus);
+}
+
+TEST_F(AnswerPathTest, GuardTripInDirectFallbackWins) {
+  AnswerOptions opts = Multiset();
+  opts.guards.row_budget = 1;
+  auto r = system_->AnswerGuarded("select X from I::extra T, T.x X", opts);
+  EXPECT_EQ(r.status().ToString(),
+            "ResourceExhausted: row budget of 1 exhausted (50 rows produced)");
+}
+
+TEST_F(AnswerPathTest, AnswerIsTheGuardedTable) {
+  for (const std::string& q :
+       {std::string(kFig6Query), std::string("select X from I::extra T, T.x X"),
+        std::string("select X from I::nosuch T, T.x X")}) {
+    for (bool multiset : {false, true}) {
+      AnswerOptions opts;
+      opts.multiset = multiset;
+      auto guarded = system_->AnswerGuarded(q, opts);
+      auto legacy = system_->Answer(q, multiset);
+      ASSERT_EQ(guarded.ok(), legacy.ok()) << q;
+      if (!guarded.ok()) {
+        EXPECT_EQ(guarded.status().ToString(), legacy.status().ToString());
+        continue;
+      }
+      EXPECT_EQ(guarded.value().table.ToString(), legacy.value().ToString())
+          << q;
+    }
+  }
 }
 
 // ---- Ex. 5.2 / Ex. 5.3 golden workloads through the cache ------------------

@@ -130,7 +130,9 @@ TEST_P(DifferentialTest, EngineVsOptimizerVsResources) {
     ASSERT_TRUE(direct.ok()) << direct.status().ToString();
 
     Optimizer plain(&catalog_, "db0");
-    auto p0 = plain.Run(sql);
+    auto p0_plan = plain.Plan(sql);
+    ASSERT_TRUE(p0_plan.ok()) << p0_plan.status().ToString();
+    auto p0 = plain.Execute(p0_plan.value());
     ASSERT_TRUE(p0.ok()) << p0.status().ToString();
     EXPECT_TRUE(direct.value().BagEquals(p0.value()));
 
@@ -139,11 +141,13 @@ TEST_P(DifferentialTest, EngineVsOptimizerVsResources) {
     rich.RegisterView(view_);
     rich.RegisterIndex(index_, TableRef{"db0", "stock"}, "company",
                        {"company", "date", "price", "exch"});
-    auto p1 = rich.Run(sql);
+    auto p1_plan = rich.Plan(sql);
+    ASSERT_TRUE(p1_plan.ok()) << p1_plan.status().ToString();
+    auto p1 = rich.Execute(p1_plan.value());
     ASSERT_TRUE(p1.ok()) << p1.status().ToString();
     EXPECT_TRUE(direct.value().BagEquals(p1.value()))
         << "resource plan diverges:\n"
-        << rich.Plan(sql).value().Describe();
+        << p1_plan.value().Describe();
   }
 }
 

@@ -337,7 +337,7 @@ TEST_F(TicketSystemTest, IndexRegistrationFeedsOptimizer) {
   auto plan = system_->optimizer()->Plan(q);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_TRUE(plan.value().uses_indexes) << plan.value().Describe();
-  auto result = system_->AnswerOptimized(q);
+  auto result = system_->optimizer()->Execute(plan.value());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   QueryEngine direct(&catalog_, "I");
   auto expected = direct.ExecuteSql(q);

@@ -236,6 +236,25 @@ TEST(ParserTest, RoundTripToString) {
   EXPECT_EQ(s1->ToString(), s2->ToString());
 }
 
+TEST(ParserTest, ArithmeticRenderingKeepsGrouping) {
+  // Distinct trees must render distinctly and re-parse to themselves: the
+  // plan cache and the compiled-program memo key on the rendering.
+  const char* kCases[][2] = {
+      {"(T.a + 1) * 2", "(T.a + 1) * 2"}, {"T.a + 1 * 2", "T.a + 1 * 2"},
+      {"T.a - (1 - 2)", "T.a - (1 - 2)"}, {"T.a - 1 - 2", "T.a - 1 - 2"},
+      {"T.a / (2 * 3)", "T.a / (2 * 3)"}, {"T.a * 2 / 3", "T.a * 2 / 3"},
+      {"-(T.a + 1)", "0 - (T.a + 1)"},
+  };
+  for (const auto& [in, rendered] : kCases) {
+    auto s1 = ParseSelectOk(std::string("select ") + in + " from db::t T");
+    ASSERT_NE(s1, nullptr);
+    EXPECT_EQ(s1->select_list[0].expr->ToString(), rendered) << in;
+    auto s2 = ParseSelectOk(s1->ToString());
+    ASSERT_NE(s2, nullptr);
+    EXPECT_EQ(s2->ToString(), s1->ToString()) << in;
+  }
+}
+
 TEST(ParserTest, CloneIsDeep) {
   auto s = ParseSelectOk(
       "select D, max(P) from db0::stock T, T.date D, T.price P group by D");
@@ -244,6 +263,94 @@ TEST(ParserTest, CloneIsDeep) {
   EXPECT_EQ(s->ToString(), c->ToString());
   c->select_list[0].alias = "changed";
   EXPECT_NE(s->ToString(), c->ToString());
+}
+
+// ---- input bounds -----------------------------------------------------------
+//
+// Inputs that once overflowed the stack in a later recursive pass (each well
+// under the server's 8 MiB frame limit) must fail cleanly in the parser, with
+// the offending token named.
+
+std::string Repeat(const std::string& piece, int n, const std::string& sep) {
+  std::string out;
+  for (int i = 0; i < n; ++i) {
+    if (i > 0) out += sep;
+    out += piece;
+  }
+  return out;
+}
+
+std::string Nested(int levels) {
+  return std::string(levels, '(') + "1 = 1" + std::string(levels, ')');
+}
+
+void ExpectBoundError(const std::string& sql, const std::string& what) {
+  auto r = Parser::ParseSelect(sql);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  EXPECT_NE(r.status().message().find(what), std::string::npos)
+      << r.status().ToString();
+  EXPECT_NE(r.status().message().find("at offset"), std::string::npos)
+      << r.status().ToString();
+}
+
+std::string Where(const std::string& condition) {
+  return "select T.a from db::t T where " + condition;
+}
+
+TEST(ParserBoundsTest, DeepParenthesesRejected) {
+  ExpectBoundError(Where(Nested(5000)), "nesting exceeds 256 levels");
+}
+
+TEST(ParserBoundsTest, LongAndChainRejected) {
+  ExpectBoundError(Where(Repeat("1=1", 50000, " and ")),
+                   "nesting exceeds 256 levels");
+}
+
+TEST(ParserBoundsTest, LongUnionChainRejected) {
+  ExpectBoundError(Repeat("select T.a from db::t T", 20000, " union all "),
+                   "UNION chain exceeds 500 branches");
+}
+
+TEST(ParserBoundsTest, NotChainRejected) {
+  ExpectBoundError(Where(Repeat("not", 5000, " ") + " 1 = 1"),
+                   "nesting exceeds 256 levels");
+}
+
+TEST(ParserBoundsTest, UnaryMinusAndAggregateNestingRejected) {
+  // Space-separated: `--` would open a comment.
+  ExpectBoundError(Where("T.a = " + Repeat("-", 5000, " ") + " 1"),
+                   "nesting exceeds 256 levels");
+  ExpectBoundError("select " + Repeat("max(", 5000, "") + "T.a" +
+                       std::string(5000, ')') + " from db::t T",
+                   "nesting exceeds 256 levels");
+}
+
+TEST(ParserBoundsTest, InputsAtTheBoundParse) {
+  // 256 levels of parentheses parse; one more is over.
+  EXPECT_TRUE(Parser::ParseSelect(Where(Nested(256))).ok());
+  ExpectBoundError(Where(Nested(257)), "nesting exceeds 256 levels");
+  // 255 comparisons: a left-deep AND chain of height 256; one more is over.
+  EXPECT_TRUE(Parser::ParseSelect(Where(Repeat("1=1", 255, " and "))).ok());
+  ExpectBoundError(Where(Repeat("1=1", 256, " and ")),
+                   "nesting exceeds 256 levels");
+  EXPECT_TRUE(
+      Parser::ParseSelect(Repeat("select T.a from db::t T", 500, " union all "))
+          .ok());
+  ExpectBoundError(Repeat("select T.a from db::t T", 501, " union all "),
+                   "UNION chain exceeds 500 branches");
+}
+
+TEST(ParserBoundsTest, OutOfRangeNumbersRejected) {
+  auto big = Parser::ParseSelect(
+      "select T.a from db::t T where T.a > 99999999999999999999");
+  EXPECT_EQ(big.status().code(), StatusCode::kParseError);
+  auto limit = Parser::ParseSelect(
+      "select T.a from db::t T limit 99999999999999999999");
+  EXPECT_EQ(limit.status().code(), StatusCode::kParseError);
+  auto max = Parser::ParseSelect(
+      "select T.a from db::t T where T.a > 9223372036854775807");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
 }
 
 }  // namespace

@@ -254,6 +254,44 @@ TEST_F(RobustnessTest, DeepExpressionNesting) {
   EXPECT_EQ(r.value().row(0)[0].as_int(), 201);
 }
 
+TEST_F(RobustnessTest, InputsAtTheParserBoundRunEveryPass) {
+  // The parser admits expression height up to Parser::kMaxExprHeight and
+  // UNION chains up to Parser::kMaxUnionBranches. Queries at exactly those
+  // bounds must survive every later recursive pass — fingerprint, Alg. 5.1
+  // translation, binder, compile, parallel evaluation, ToString and the
+  // destructor chain — on the default stack (the ASan lane runs this too).
+  auto repeat = [](const std::string& piece, int n, const std::string& sep) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out += (i > 0 ? sep : "") + piece;
+    return out;
+  };
+  const std::string where = "select P from db0::stock T, T.price P where ";
+  const std::vector<std::string> at_bound = {
+      where + std::string(256, '(') + "P > 0" + std::string(256, ')'),
+      // 255 comparisons: a left-deep AND chain of height 256.
+      where + repeat("P > 0", 255, " and "),
+      // 254 NOTs (an even count) over a height-2 comparison.
+      where + repeat("not", 254, " ") + " P > 0",
+      repeat("select P from db0::stock T, T.price P", 500, " union all "),
+  };
+  QueryEngine engine(&catalog_, "db0");
+  IntegrationSystem system(&catalog_, "db0");
+  for (const std::string& sql : at_bound) {
+    SCOPED_TRACE(sql.substr(0, 80));
+    auto parsed = Parser::ParseSelect(sql);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_FALSE(parsed.value()->ToString().empty());
+    auto direct = engine.ExecuteSql(sql);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    EXPECT_GT(direct.value().num_rows(), 0u);
+    for (int i = 0; i < 2; ++i) {  // Cold, then through the plan cache.
+      auto answered = system.AnswerGuarded(sql, AnswerOptions{true, {}});
+      ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+      EXPECT_EQ(answered.value().table.num_rows(), direct.value().num_rows());
+    }
+  }
+}
+
 TEST_F(RobustnessTest, WideAndEmptyTables) {
   // Zero-row table: all queries well-formed, empty results.
   ASSERT_TRUE(
@@ -463,8 +501,7 @@ TEST_F(GuardTest, ZeroDeadlineCancelsParallelQuery) {
   g.deadline_ms = 0;
   QueryContext qc(g);
   QueryEngine engine(&catalog_, "s2", Threads(4));
-  engine.set_query_context(&qc);
-  auto r = engine.ExecuteSql(kFanOut);
+  auto r = engine.ExecuteSql(kFanOut, &qc);
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
 }
 
@@ -479,8 +516,7 @@ TEST_F(GuardTest, DeadlineExpiresMidQuery) {
   g.deadline_ms = 10;
   QueryContext qc(g);
   QueryEngine engine(&catalog_, "s2", Threads(4));
-  engine.set_query_context(&qc);
-  auto r = engine.ExecuteSql(kFanOut);
+  auto r = engine.ExecuteSql(kFanOut, &qc);
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
 }
 
@@ -491,12 +527,11 @@ TEST_F(GuardTest, ConcurrentCancelStopsParallelGrounding) {
   FailPoints::Arm("engine.grounding", slow);
   QueryContext qc;
   QueryEngine engine(&catalog_, "s2", Threads(4));
-  engine.set_query_context(&qc);
   std::thread canceller([&qc] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     qc.Cancel();
   });
-  auto r = engine.ExecuteSql(kFanOut);
+  auto r = engine.ExecuteSql(kFanOut, &qc);
   canceller.join();
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
 }
@@ -508,8 +543,7 @@ TEST_F(GuardTest, RowBudgetStopsCrossProduct) {
   g.row_budget = 100;
   QueryContext qc(g);
   QueryEngine engine(&catalog_, "db0", Threads(1));
-  engine.set_query_context(&qc);
-  auto r = engine.ExecuteSql("select 1 from db0::stock T, db0::stock S");
+  auto r = engine.ExecuteSql("select 1 from db0::stock T, db0::stock S", &qc);
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   EXPECT_LE(qc.rows_charged(), 200u);  // Stopped well short of 225 + scans.
 }
@@ -523,8 +557,7 @@ TEST_F(GuardTest, RetryPolicySucceedsUnderErrorOnce) {
   g.source_policy = SourcePolicy::kRetry;
   QueryContext qc(g);
   QueryEngine engine(&catalog_, "s2", Threads(4));
-  engine.set_query_context(&qc);
-  auto r = engine.ExecuteSql(kFanOut);
+  auto r = engine.ExecuteSql(kFanOut, &qc);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().num_rows(), 15u);  // Retried grounding contributed.
   EXPECT_TRUE(qc.warnings().empty());
@@ -540,8 +573,7 @@ TEST_F(GuardTest, RetryPolicyGivesUpOnPersistentFault) {
   g.max_retries = 1;
   QueryContext qc(g);
   QueryEngine engine(&catalog_, "s2", Threads(1));
-  engine.set_query_context(&qc);
-  EXPECT_EQ(engine.ExecuteSql(kFanOut).status().code(),
+  EXPECT_EQ(engine.ExecuteSql(kFanOut, &qc).status().code(),
             StatusCode::kUnavailable);
 }
 
@@ -561,8 +593,7 @@ TEST_F(GuardTest, SkipAndReportIsDeterministicAcrossThreadCounts) {
     g.source_policy = SourcePolicy::kSkipAndReport;
     QueryContext qc(g);
     QueryEngine engine(&catalog_, "s2", Threads(thread_counts[i]));
-    engine.set_query_context(&qc);
-    auto r = engine.ExecuteSql(kFanOut);
+    auto r = engine.ExecuteSql(kFanOut, &qc);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     rows[i] = r.value().num_rows();
     for (const SourceWarning& w : qc.warnings()) {
@@ -589,8 +620,8 @@ TEST_F(GuardTest, NonTransientErrorsNeverSkip) {
   g.source_policy = SourcePolicy::kSkipAndReport;
   QueryContext qc(g);
   QueryEngine engine(&catalog_, "s2", Threads(1));
-  engine.set_query_context(&qc);
-  EXPECT_EQ(engine.ExecuteSql(kFanOut).status().code(), StatusCode::kInternal);
+  EXPECT_EQ(engine.ExecuteSql(kFanOut, &qc).status().code(),
+            StatusCode::kInternal);
   EXPECT_TRUE(qc.warnings().empty());
 }
 
@@ -675,12 +706,11 @@ TEST_F(GuardTest, ViewMaterializerObservesGuards) {
   g.deadline_ms = 0;
   QueryContext qc(g);
   QueryEngine engine(&catalog_, "db0", Threads(1));
-  engine.set_query_context(&qc);
   Catalog target;
   auto r = ViewMaterializer::MaterializeSql(
       "create view out::C(date, price) as select D, P from db0::stock T, "
       "T.company C, T.date D, T.price P",
-      &engine, &target, "out");
+      &engine, &target, "out", &qc);
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(target.num_databases(), 0u);  // Nothing partially installed.
 }
