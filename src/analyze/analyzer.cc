@@ -482,7 +482,7 @@ std::vector<Diagnostic> Analyzer::AnalyzeSelect(
       norm->union_next = nullptr;
       if (NormalizeQuery(norm.get(), *catalog_, default_db_).ok()) {
         std::vector<const Expr*> conjuncts;
-        CollectConjuncts(norm->where.get(), &conjuncts);
+        SplitConjuncts(norm->where.get(), &conjuncts);
         CheckUnsatisfiable(conjuncts, label, &diags);
       }
     }

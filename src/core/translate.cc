@@ -239,7 +239,7 @@ Result<TranslationResult> QueryTranslator::Translate(
   out.residual_conjuncts = residual.size();
   {
     std::vector<const Expr*> qconds;
-    CollectConjuncts(query.where.get(), &qconds);
+    SplitConjuncts(query.where.get(), &qconds);
     out.absorbed_conjuncts = qconds.size() - residual.size();
   }
 

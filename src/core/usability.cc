@@ -62,7 +62,7 @@ Result<QueryInfo> AnalyzeQuery(const SelectStmt& stmt, const BoundQuery& bq,
       info.attr_of_domain[ToLower(f.var)] = ToLower(f.attr.text);
     }
   }
-  CollectConjuncts(stmt.where.get(), &info.conds);
+  SplitConjuncts(stmt.where.get(), &info.conds);
 
   std::vector<std::string> needed;
   auto collect = [&](const Expr& e) {

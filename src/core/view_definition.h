@@ -200,10 +200,6 @@ class ViewDefinition {
   VersionCell materialized_version_;
 };
 
-/// Splits a WHERE tree into conjuncts (exposed for reuse by the usability
-/// and translation machinery).
-void CollectConjuncts(const Expr* e, std::vector<const Expr*>* out);
-
 }  // namespace dynview
 
 #endif  // DYNVIEW_CORE_VIEW_DEFINITION_H_

@@ -28,16 +28,6 @@ struct WorkingSet {
   ColumnBindings bindings;
 };
 
-void SplitConjuncts(const Expr* e, std::vector<const Expr*>* out) {
-  if (e == nullptr) return;
-  if (e->kind == ExprKind::kLogic && e->op == BinaryOp::kAnd) {
-    SplitConjuncts(e->left.get(), out);
-    SplitConjuncts(e->right.get(), out);
-    return;
-  }
-  out->push_back(e);
-}
-
 std::string OutputName(const SelectItem& item, size_t index) {
   if (!item.alias.empty()) return item.alias;
   if (item.expr != nullptr) {
@@ -624,9 +614,17 @@ Result<Table> QueryEngine::EvaluateBranchImpl(const SelectStmt& stmt,
   // Observability context for the fan-out (pool intentionally not ensured
   // yet — only the trace/metrics sinks are used before evaluation starts).
   const ExecContext fctx = Ctx(qc, snap);
+  GroundingCounts counts;
   DV_ASSIGN_OR_RETURN(
       std::vector<InstantiatedQuery> ground,
-      InstantiateSchemaVars(stmt, bq, *snap, default_db_, fctx.metrics));
+      InstantiateSchemaVars(stmt, bq, *snap, default_db_, &counts));
+  fctx.Count(counters::kGroundingsEnumerated, counts.enumerated);
+  if (counts.pruned_notfound > 0) {
+    fctx.Count(counters::kGroundingsPrunedNotFound, counts.pruned_notfound);
+  }
+  if (counts.pruned_predicate > 0) {
+    fctx.Count(counters::kGroundingsPrunedPredicate, counts.pruned_predicate);
+  }
   // Empty table with the statement's output names — the zero-grounding
   // result, also produced when every grounding was skipped by policy (star
   // cannot be expanded without a grounding).
@@ -659,7 +657,9 @@ Result<Table> QueryEngine::EvaluateBranchImpl(const SelectStmt& stmt,
   }
   fctx.Count(counters::kGroundingsEvaluated, ground.size());
   ScopedSpan fanout_span(fctx.trace, "grounding.fanout",
-                         std::to_string(ground.size()) + " groundings");
+                         std::to_string(ground.size()) + " of " +
+                             std::to_string(counts.enumerated) +
+                             " groundings");
   const SourcePolicy policy =
       qc == nullptr ? SourcePolicy::kFailFast : qc->guards().source_policy;
   // Each grounding is one source's independent contribution (local-as-view:

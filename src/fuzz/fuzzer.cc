@@ -287,6 +287,9 @@ DdlOp RandomOp(int k, std::mt19937_64& rng, const CatalogSnapshot& snap) {
 struct GenQuery {
   std::string sql;
   bool multiset = true;  // Only DISTINCT queries accept set-correctness.
+  /// A first-order query whose answer must be byte-identical to the
+  /// reference answer of `sql` (empty: none).
+  std::string first_order = {};
 };
 
 /// One query over a single relation I::<rel>, a pure function of (rng,
@@ -406,7 +409,26 @@ std::vector<GenQuery> GenQueries(std::mt19937_64& rng, const Catalog& catalog,
     for (const std::string& c : common) {
       if (ToLower(c) != "cat") ci.push_back(c);
     }
-    if (Pick(rng, 2) == 0 || ci.empty()) {
+    const size_t shape = Pick(rng, 4);
+    if (shape >= 2 && !named.empty()) {
+      // A label conjunct restricts R to one relation, or to none: the answer
+      // is the first-order query on that relation (an empty one, with the
+      // same columns, for an absent label).
+      const std::string c = common[Pick(rng, common.size())];
+      const bool absent =
+          shape == 3 && std::find(tables.begin(), tables.end(),
+                                  "no_such_relation") == tables.end();
+      const std::string rel =
+          absent ? "no_such_relation" : named[Pick(rng, named.size())];
+      out.push_back({"select R, K from I -> R, R T, T." + c +
+                         " K where R = '" + rel + "'",
+                     true,
+                     "select '" + rel + "' as R, K from I::" +
+                         (absent ? named[0] : rel) + " T, T." + c + " K" +
+                         (absent ? " where 1 = 0" : "")});
+      continue;
+    }
+    if (shape == 0 || ci.empty()) {
       std::string c = common[Pick(rng, common.size())];
       out.push_back(
           {"select distinct R, K from I -> R, R T, T." + c + " K", false});
@@ -492,11 +514,14 @@ std::string Describe(const RunOut& o) {
   return o.canon;
 }
 
-/// Runs one (sql, multiset) through every strategy and compares. Returns the
+/// Runs one generated query through every strategy and compares (and, when
+/// it names one, its first-order equivalent with the reference). Returns the
 /// first violation ("<strategy>: <what diverged>"), or nullopt when all
 /// seven executions agree. `rep` is null during minimization replays.
-std::optional<std::string> CheckQuery(Runtime& rt, const std::string& sql,
-                                      bool multiset, FuzzReport* rep) {
+std::optional<std::string> CheckQuery(Runtime& rt, const GenQuery& q,
+                                      FuzzReport* rep) {
+  const std::string& sql = q.sql;
+  const bool multiset = q.multiset;
   if (FailPoints::AnyArmed()) {
     Status s = FailPoints::Check("fuzz.oracle", sql);
     if (!s.ok()) {
@@ -509,6 +534,16 @@ std::optional<std::string> CheckQuery(Runtime& rt, const std::string& sql,
   auto count = [&] {
     if (rep != nullptr) ++rep->checks;
   };
+
+  if (!q.first_order.empty()) {
+    RunOut fo = RunDirect(rt.ref.get(), q.first_order, snap);
+    count();
+    if (fo.ok != ref.ok || (fo.ok && fo.raw != ref.raw) ||
+        (!fo.ok && fo.st.code() != ref.st.code())) {
+      return "first-order [" + q.first_order + "]: " + Describe(fo) +
+             " vs reference " + Describe(ref);
+    }
+  }
 
   const std::pair<const char*, QueryEngine*> directs[] = {
       {"direct/compiled-t1", rt.dc1.get()},
@@ -606,7 +641,7 @@ void MinimizeAndDump(const FuzzConfig& config, const ScenarioSpec& spec,
     Runtime rt;
     if (!BuildRuntime(spec, "", true, &rt).ok()) return false;
     (void)ApplyOps(&rt, ops);
-    return CheckQuery(rt, q.sql, q.multiset, nullptr).has_value();
+    return CheckQuery(rt, q, nullptr).has_value();
   };
 
   std::vector<DdlOp> ops = attempted;
@@ -713,7 +748,7 @@ FuzzReport HeterogeneityFuzzer::Run() {
            GenQueries(rng, *rt.catalog, spec.labels,
                       config_.queries_per_step)) {
         ++rep.triples;
-        auto fail = CheckQuery(rt, q.sql, q.multiset, &rep);
+        auto fail = CheckQuery(rt, q, &rep);
         if (fail.has_value()) {
           ++rep.mismatches;
           if (rep.first_failure.empty()) {

@@ -617,13 +617,11 @@ Result<AnswerResult> IntegrationSystem::AnswerGuarded(
     return AnswerCore(sql, memo_cache_key, memo_fp_hex, /*stmt=*/nullptr,
                       options, ctx);
   }
-  // Second level: parse once, fingerprint the normalized statement. Text I's
-  // grammar rejects has no fingerprint, so it answers uncached.
+  // Second level: parse once, fingerprint the normalized statement. Text
+  // that does not parse has no plan on any source: its ParseError (token
+  // and offset) is the answer.
   Result<std::unique_ptr<SelectStmt>> parsed = Parser::ParseSelect(sql);
-  if (!parsed.ok()) {
-    return AnswerCore(sql, /*cache_key=*/"", /*fp_hex=*/"", /*stmt=*/nullptr,
-                      options, ctx);
-  }
+  DV_RETURN_IF_ERROR(parsed.status());
   QueryFingerprint fp =
       FingerprintStatement(*parsed.value(), FingerprintMode::kExact);
   std::string fp_hex = fp.Hex();
@@ -677,31 +675,28 @@ Result<AnswerResult> IntegrationSystem::AnswerCore(
   QueryObserver* sink = qc->observer();
 
   std::vector<SourceWarning> warnings;
-  std::shared_ptr<CachedPlan> plan;
-  if (!cache_key.empty()) {
-    // Chaos hook: a poisoned cache entry is erased and the query degrades to
-    // a fresh compile with a warning — never a wrong answer.
-    if (FailPoints::AnyArmed()) {
-      Status poisoned = FailPoints::Check("plan_cache.lookup", fp_hex);
-      if (!poisoned.ok()) {
-        plan_cache_.Erase(cache_key);
-        warnings.push_back(SourceWarning{"plan_cache", poisoned});
-      }
+  // Chaos hook: a poisoned cache entry is erased and the query degrades to
+  // a fresh compile with a warning — never a wrong answer.
+  if (FailPoints::AnyArmed()) {
+    Status poisoned = FailPoints::Check("plan_cache.lookup", fp_hex);
+    if (!poisoned.ok()) {
+      plan_cache_.Erase(cache_key);
+      warnings.push_back(SourceWarning{"plan_cache", poisoned});
     }
-    CacheLookupOutcome outcome = CacheLookupOutcome::kMiss;
-    plan = plan_cache_.Lookup(cache_key, snap->version(), &outcome);
-    if (sink != nullptr) {
-      sink->metrics.Add(plan != nullptr ? counters::kPlanCacheHits
-                                        : counters::kPlanCacheMisses,
-                        1);
-      if (outcome == CacheLookupOutcome::kStaleMiss) {
-        sink->metrics.Add(counters::kPlanCacheInvalidations, 1);
-      }
+  }
+  CacheLookupOutcome outcome = CacheLookupOutcome::kMiss;
+  std::shared_ptr<CachedPlan> plan =
+      plan_cache_.Lookup(cache_key, snap->version(), &outcome);
+  if (sink != nullptr) {
+    sink->metrics.Add(plan != nullptr ? counters::kPlanCacheHits
+                                      : counters::kPlanCacheMisses,
+                      1);
+    if (outcome == CacheLookupOutcome::kStaleMiss) {
+      sink->metrics.Add(counters::kPlanCacheInvalidations, 1);
     }
   }
   const bool plan_cached = plan != nullptr;
   auto cache_plan = [&] {
-    if (cache_key.empty()) return;
     size_t evicted = plan_cache_.Insert(cache_key, snap->version(), plan);
     if (sink != nullptr && evicted > 0) {
       sink->metrics.Add(counters::kPlanCacheEvictions,
@@ -727,11 +722,9 @@ Result<AnswerResult> IntegrationSystem::AnswerCore(
     } else {
       rewrite_status = rewritten.status();
       if (stmt == nullptr) {
-        // Raw-memo hit whose plan was evicted or invalidated: re-parse. Text
-        // that never parsed leaves the direct template null and runs as
-        // text, which reports the parse error.
-        Result<std::unique_ptr<SelectStmt>> reparsed = Parser::ParseSelect(sql);
-        if (reparsed.ok()) stmt = std::move(reparsed).value();
+        // Raw-memo hit whose plan was evicted or invalidated: re-parse (the
+        // memo only holds text that parsed).
+        DV_ASSIGN_OR_RETURN(stmt, Parser::ParseSelect(sql));
       }
       plan->direct = std::shared_ptr<const SelectStmt>(std::move(stmt));
     }
@@ -744,11 +737,8 @@ Result<AnswerResult> IntegrationSystem::AnswerCore(
   qc->set_expr_programs(plan->programs);
   const SelectStmt* tmpl =
       plan->rewritten != nullptr ? plan->rewritten.get() : plan->direct.get();
-  std::unique_ptr<SelectStmt> exec_stmt =
-      tmpl != nullptr ? tmpl->Clone() : nullptr;
-  Result<Table> answered = exec_stmt != nullptr
-                               ? engine_.Execute(exec_stmt.get(), qc)
-                               : engine_.ExecuteSql(sql, qc);
+  std::unique_ptr<SelectStmt> exec_stmt = tmpl->Clone();
+  Result<Table> answered = engine_.Execute(exec_stmt.get(), qc);
   if (plan->rewritten != nullptr && !answered.ok() &&
       answered.status().code() == StatusCode::kNotFound) {
     // The rewriting references a materialization relation DDL has since
@@ -756,7 +746,7 @@ Result<AnswerResult> IntegrationSystem::AnswerCore(
     // trip). That degrades like a stale fence — the entry is dropped, a
     // deterministic warning is added and the direct plan on I answers —
     // never a hard NotFound for a query I itself can answer.
-    if (!cache_key.empty()) plan_cache_.Erase(cache_key);
+    plan_cache_.Erase(cache_key);
     stale.push_back(VanishedMaterializationWarning(*chosen, answered.status()));
     chosen = nullptr;
     answered = engine_.ExecuteSql(sql, qc);

@@ -67,8 +67,7 @@ struct AnswerResult {
 
   /// True when the answer reused a cached plan (parse → rewrite skipped);
   /// false on the cold compile path. `plan_fingerprint` is the normalized
-  /// query hash (16 hex digits, exact mode) the plan cache keyed on — empty
-  /// only when the query never reached the cache (unparseable text).
+  /// query hash (16 hex digits, exact mode) the plan cache keyed on.
   bool plan_cached = false;
   std::string plan_fingerprint;
 };
@@ -254,9 +253,10 @@ class IntegrationSystem {
   /// failures degrade per `options.guards.source_policy` — kSkipAndReport
   /// yields a partial result whose `warnings` name each skipped source.
   /// Guard trips surface as kDeadlineExceeded / kCancelled /
-  /// kResourceExhausted statuses. `ctx`, when given, allows the caller to
-  /// cancel concurrently via ctx->Cancel(); it must outlive the call and
-  /// carry the same guards.
+  /// kResourceExhausted statuses; text that does not parse is its
+  /// ParseError whether or not sources are registered. `ctx`, when given,
+  /// allows the caller to cancel concurrently via ctx->Cancel(); it must
+  /// outlive the call and carry the same guards.
   ///
   /// The whole call runs against ONE catalog snapshot, pinned on the query
   /// context up front (a caller-pinned snapshot of this catalog is honored —
@@ -354,8 +354,8 @@ class IntegrationSystem {
   /// or fall back to the direct plan on I, execute, and assemble warnings.
   /// `stmt` is the parsed statement when the caller has it (null on a
   /// raw-memo hit — it is only needed, and then re-parsed, on a miss).
-  /// `cache_key` is empty for text that does not parse: the call neither
-  /// reads nor fills the cache.
+  /// Text that does not parse never gets here: its callers return the
+  /// ParseError.
   Result<AnswerResult> AnswerCore(const std::string& sql,
                                   const std::string& cache_key,
                                   const std::string& fp_hex,

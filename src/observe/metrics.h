@@ -28,8 +28,10 @@ inline constexpr char kRowsUnioned[] = "rows.unioned";    // [invariant]
 inline constexpr char kMorselsExecuted[] = "morsels.executed";
 inline constexpr char kGroundingsEnumerated[] =
     "groundings.enumerated";                              // [invariant]
-inline constexpr char kGroundingsPruned[] =
+inline constexpr char kGroundingsPrunedNotFound[] =
     "groundings.pruned_notfound";                         // [invariant]
+inline constexpr char kGroundingsPrunedPredicate[] =
+    "groundings.pruned_predicate";                        // [invariant]
 inline constexpr char kGroundingsEvaluated[] =
     "groundings.evaluated";                               // [invariant]
 inline constexpr char kSourceRetries[] = "source.retries";   // [invariant]

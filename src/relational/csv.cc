@@ -126,19 +126,6 @@ Value InferValue(const std::string& field, bool was_quoted) {
   return Value::String(field);
 }
 
-/// Shortest decimal rendering of `v` that strtod's back to the same bits
-/// (tries 15, 16, then 17 significant digits — 17 always round-trips for
-/// IEEE binary64).
-std::string RoundTripDouble(double v) {
-  char buf[40];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    double back = std::strtod(buf, nullptr);
-    if (std::memcmp(&back, &v, sizeof(double)) == 0) break;
-  }
-  return buf;
-}
-
 Result<Value> ParseTypedField(const std::string& field, bool was_quoted,
                               TypeKind type, size_t column) {
   if (field.empty() && !was_quoted) return Value::Null();

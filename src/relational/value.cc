@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 
 namespace dynview {
@@ -173,6 +175,16 @@ int Value::TotalOrderCompare(const Value& a, const Value& b) {
   Result<TriBool> r = Compare(a, b, &cmp);
   if (r.ok() && r.value() == TriBool::kTrue) return cmp;
   return 0;
+}
+
+std::string RoundTripDouble(double v) {
+  char buf[40];
+  for (int prec = 15; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    double back = std::strtod(buf, nullptr);
+    if (std::memcmp(&back, &v, sizeof(double)) == 0) break;
+  }
+  return buf;
 }
 
 std::string Value::ToString() const {

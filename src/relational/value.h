@@ -107,6 +107,11 @@ class Value {
   Storage data_;
 };
 
+/// Shortest decimal rendering of `v` that strtod's back to the same bits
+/// (tries 15, 16, then 17 significant digits — 17 always round-trips for
+/// IEEE binary64); "%g" form, so it may carry an exponent ("1e+20").
+std::string RoundTripDouble(double v);
+
 }  // namespace dynview
 
 #endif  // DYNVIEW_RELATIONAL_VALUE_H_

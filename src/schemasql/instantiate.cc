@@ -1,6 +1,7 @@
 #include "schemasql/instantiate.h"
 
 #include "common/str_util.h"
+#include "engine/expr_eval.h"
 
 namespace dynview {
 
@@ -66,6 +67,150 @@ std::string TupleDbLabel(const FromItem& f, const Grounding& g,
     if (it != g.relvar_db.end()) return it->second;
   }
   return default_db;
+}
+
+/// The top-level WHERE conjuncts whose only references are schema variables
+/// (e.g. `R = 'coa'`, `R IN ('a', 'b')`). Each restricts the range of the
+/// variables it names: it is judged once per grounding, as soon as the last
+/// of its variables has a label, by the engine's own evaluator over a
+/// one-row binding of the grounded labels — so a label compares exactly as
+/// the substituted literal would in the first-order query.
+class LabelConjuncts {
+ public:
+  LabelConjuncts(const SelectStmt& stmt, const BoundQuery& bq) : bq_(bq) {
+    std::vector<const Expr*> conjuncts;
+    SplitConjuncts(stmt.where.get(), &conjuncts);
+    for (const Expr* c : conjuncts) {
+      std::vector<std::string> refs;
+      c->CollectVarRefs(&refs);
+      if (!refs.empty()) pending_.push_back(c);  // Constants: the engine's.
+    }
+  }
+
+  /// Starts grounding schema variable `var`. True when some conjunct can be
+  /// judged from now on; Admits then judges each label of `var`.
+  bool Bind(const std::string& var) {
+    ready_.clear();
+    if (pending_.empty()) return false;
+    const BoundVariable* v = bq_.Find(var);
+    if (v == nullptr || !IsSchemaVarClass(v->cls)) return false;
+    bindings_.AddNamed(var, static_cast<int>(vars_.size()));
+    vars_.push_back(ToLower(var));
+    std::vector<const Expr*> waiting;
+    for (const Expr* c : pending_) {
+      (CanEvaluate(*c, bindings_) ? ready_ : waiting).push_back(c);
+    }
+    pending_ = std::move(waiting);
+    return !ready_.empty();
+  }
+
+  /// False when, with the earlier variables labelled as in `g` and the one
+  /// just bound labelled `label`, a judgeable conjunct is False or Unknown.
+  /// A conjunct that errors admits the label, so evaluating the grounding
+  /// reports that error.
+  bool Admits(const Grounding& g, const std::string& label) const {
+    Row row;
+    row.reserve(vars_.size());
+    for (size_t i = 0; i + 1 < vars_.size(); ++i) {
+      row.push_back(Value::String(g.labels.at(vars_[i])));
+    }
+    row.push_back(Value::String(label));
+    bool rejected = false;
+    for (const Expr* c : ready_) {
+      Result<TriBool> t = EvaluatePredicate(*c, row, bindings_);
+      if (!t.ok()) return true;
+      if (t.value() != TriBool::kTrue) rejected = true;
+    }
+    return !rejected;
+  }
+
+ private:
+  const BoundQuery& bq_;
+  std::vector<const Expr*> pending_;  // Not yet judgeable.
+  std::vector<const Expr*> ready_;    // Judged on the variable just bound.
+  ColumnBindings bindings_;           // Bound variable → row slot.
+  std::vector<std::string> vars_;     // Row slot → lowercased variable.
+};
+
+/// The groundings of `stmt`'s schema variables, in FROM declaration order:
+///   * a database variable ranges over all database names,
+///   * a relation variable over the relations of its (grounded) database,
+///   * an attribute variable over the attributes of its (grounded) relation.
+/// With `label_conjuncts`, each label a conjunct rejects is dropped as it
+/// is enumerated (a rejected prefix is never extended) and counted in
+/// `*pruned`.
+std::vector<Grounding> Enumerate(const SelectStmt& stmt,
+                                 const CatalogReader& catalog,
+                                 const std::string& default_db,
+                                 LabelConjuncts* label_conjuncts,
+                                 uint64_t* pruned) {
+  std::vector<Grounding> groundings;
+  groundings.emplace_back();
+  for (const FromItem& f : stmt.from_items) {
+    if (f.kind == FromItemKind::kTupleVar ||
+        f.kind == FromItemKind::kDomainVar) {
+      continue;  // Not a schema variable; keep current groundings.
+    }
+    const std::string var = ToLower(f.var);
+    const bool restrict =
+        label_conjuncts != nullptr && label_conjuncts->Bind(f.var);
+    std::vector<Grounding> next;
+    auto extend = [&](const Grounding& g, const std::string& label) {
+      if (restrict && !label_conjuncts->Admits(g, label)) {
+        ++*pruned;
+        return false;
+      }
+      next.push_back(g);
+      next.back().labels[var] = label;
+      return true;
+    };
+    for (const Grounding& g : groundings) {
+      switch (f.kind) {
+        case FromItemKind::kDatabaseVar:
+          for (const std::string& db : catalog.DatabaseNames()) extend(g, db);
+          break;
+        case FromItemKind::kRelationVar: {
+          std::string db_name = GroundLabelText(f.db, g.labels, default_db);
+          Result<const Database*> db = catalog.GetDatabase(db_name);
+          if (!db.ok()) break;  // Empty range.
+          for (const std::string& rel : db.value()->TableNames()) {
+            if (extend(g, rel)) next.back().relvar_db[var] = db_name;
+          }
+          break;
+        }
+        default: {  // kAttributeVar.
+          std::string db_name = GroundLabelText(f.db, g.labels, default_db);
+          std::string rel_name = GroundLabelText(f.rel, g.labels, "");
+          Result<const Table*> t = catalog.ResolveTable(db_name, rel_name);
+          if (!t.ok()) break;  // Empty range.
+          for (const std::string& attr : t.value()->schema().ColumnNames()) {
+            extend(g, attr);
+          }
+          break;
+        }
+      }
+    }
+    groundings = std::move(next);
+  }
+  return groundings;
+}
+
+/// False when a variable-derived tuple reference of `stmt` resolves
+/// kNotFound under `g`. Any other resolution failure (e.g. an injected
+/// kUnavailable) means the relation exists but is failing — the grounding
+/// stays, so the evaluation fan-out surfaces the error under the active
+/// SourcePolicy instead of silently narrowing the query.
+bool Feasible(const SelectStmt& stmt, const Grounding& g,
+              const CatalogReader& catalog, const std::string& default_db) {
+  for (const FromItem& f : stmt.from_items) {
+    if (f.kind != FromItemKind::kTupleVar) continue;
+    if (!f.db.is_variable && !f.rel.is_variable) continue;
+    std::string db_name = TupleDbLabel(f, g, default_db);
+    std::string rel_name = GroundLabelText(f.rel, g.labels, "");
+    Result<const Table*> t = catalog.ResolveTable(db_name, rel_name);
+    if (!t.ok() && t.status().code() == StatusCode::kNotFound) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -136,97 +281,49 @@ std::unique_ptr<SelectStmt> SubstituteLabels(const SelectStmt& stmt,
 
 Result<std::vector<InstantiatedQuery>> InstantiateSchemaVars(
     const SelectStmt& stmt, const BoundQuery& bq, const CatalogReader& catalog,
-    const std::string& default_db, MetricsRegistry* metrics) {
-  std::vector<Grounding> groundings;
-  groundings.emplace_back();
-  for (const FromItem& f : stmt.from_items) {
-    std::vector<Grounding> next;
-    switch (f.kind) {
-      case FromItemKind::kDatabaseVar: {
-        std::vector<std::string> dbs = catalog.DatabaseNames();
-        for (const Grounding& g : groundings) {
-          for (const std::string& db : dbs) {
-            Grounding ng = g;
-            ng.labels[ToLower(f.var)] = db;
-            next.push_back(std::move(ng));
-          }
-        }
-        break;
-      }
-      case FromItemKind::kRelationVar: {
-        for (const Grounding& g : groundings) {
-          std::string db_name = GroundLabelText(f.db, g.labels, default_db);
-          Result<const Database*> db = catalog.GetDatabase(db_name);
-          if (!db.ok()) continue;  // Empty range.
-          for (const std::string& rel : db.value()->TableNames()) {
-            Grounding ng = g;
-            ng.labels[ToLower(f.var)] = rel;
-            ng.relvar_db[ToLower(f.var)] = db_name;
-            next.push_back(std::move(ng));
-          }
-        }
-        break;
-      }
-      case FromItemKind::kAttributeVar: {
-        for (const Grounding& g : groundings) {
-          std::string db_name = GroundLabelText(f.db, g.labels, default_db);
-          std::string rel_name = GroundLabelText(f.rel, g.labels, "");
-          Result<const Table*> t = catalog.ResolveTable(db_name, rel_name);
-          if (!t.ok()) continue;  // Empty range.
-          for (const std::string& attr : t.value()->schema().ColumnNames()) {
-            Grounding ng = g;
-            ng.labels[ToLower(f.var)] = attr;
-            next.push_back(std::move(ng));
-          }
-        }
-        break;
-      }
-      case FromItemKind::kTupleVar:
-      case FromItemKind::kDomainVar:
-        continue;  // Not a schema variable; keep current groundings.
-    }
-    groundings = std::move(next);
-  }
-
-  if (metrics != nullptr) {
-    metrics->Add(counters::kGroundingsEnumerated, groundings.size());
-  }
+    const std::string& default_db, GroundingCounts* counts) {
+  LabelConjuncts label_conjuncts(stmt, bq);
+  uint64_t pruned_predicate = 0;
+  std::vector<Grounding> groundings = Enumerate(
+      stmt, catalog, default_db, &label_conjuncts, &pruned_predicate);
+  const uint64_t enumerated = groundings.size() + pruned_predicate;
 
   // Discard groundings under which a *variable-derived* tuple reference does
   // not exist (the variable "ranges over" valid labels only). Constant
   // references are left to the evaluator, which reports NotFound.
-  uint64_t pruned = 0;
-  std::vector<InstantiatedQuery> out;
-  out.reserve(groundings.size());
+  uint64_t pruned_notfound = 0;
+  std::vector<Grounding> kept;
   for (Grounding& g : groundings) {
-    bool feasible = true;
-    for (const FromItem& f : stmt.from_items) {
-      if (f.kind != FromItemKind::kTupleVar) continue;
-      if (!f.db.is_variable && !f.rel.is_variable) continue;
-      std::string db_name = TupleDbLabel(f, g, default_db);
-      std::string rel_name = GroundLabelText(f.rel, g.labels, "");
-      Result<const Table*> t = catalog.ResolveTable(db_name, rel_name);
-      if (!t.ok() && t.status().code() == StatusCode::kNotFound) {
-        // Only genuinely absent relations shrink the variable's range. Any
-        // other resolution failure (e.g. an injected kUnavailable) means the
-        // relation exists but is failing — keep the grounding so the
-        // evaluation fan-out surfaces the error under the active
-        // SourcePolicy instead of silently narrowing the query.
-        feasible = false;
-        break;
-      }
+    if (Feasible(stmt, g, catalog, default_db)) {
+      kept.push_back(std::move(g));
+    } else {
+      ++pruned_notfound;
     }
-    if (!feasible) {
-      ++pruned;
-      continue;
+  }
+  if (kept.empty() && pruned_predicate > 0) {
+    // The label conjuncts exclude every grounding. Keep the first feasible
+    // one of the unrestricted enumeration: it evaluates to nothing, and the
+    // empty answer keeps the output schema (SELECT * included) that
+    // evaluating every grounding gives.
+    for (Grounding& g :
+         Enumerate(stmt, catalog, default_db, nullptr, nullptr)) {
+      if (!Feasible(stmt, g, catalog, default_db)) continue;
+      kept.push_back(std::move(g));
+      --pruned_predicate;
+      break;
     }
+  }
+
+  if (counts != nullptr) {
+    *counts = GroundingCounts{enumerated, pruned_notfound, pruned_predicate};
+  }
+  std::vector<InstantiatedQuery> out;
+  out.reserve(kept.size());
+  for (Grounding& g : kept) {
     InstantiatedQuery iq;
     iq.query = SubstituteLabels(stmt, bq, g);
     iq.labels = std::move(g.labels);
     out.push_back(std::move(iq));
-  }
-  if (metrics != nullptr && pruned > 0) {
-    metrics->Add(counters::kGroundingsPruned, pruned);
   }
   return out;
 }

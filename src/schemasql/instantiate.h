@@ -1,13 +1,13 @@
 #ifndef DYNVIEW_SCHEMASQL_INSTANTIATE_H_
 #define DYNVIEW_SCHEMASQL_INSTANTIATE_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
-#include "observe/metrics.h"
 #include "relational/catalog.h"
 #include "sql/ast.h"
 #include "sql/binder.h"
@@ -32,6 +32,19 @@ struct Grounding {
   std::map<std::string, std::string> relvar_db;  // lowercased var → db name.
 };
 
+/// How one InstantiateSchemaVars call decided its groundings (the
+/// `groundings.*` counters): enumerated = pruned_notfound +
+/// pruned_predicate + the number of queries returned.
+struct GroundingCounts {
+  /// Groundings produced; a prefix dropped by a label conjunct before later
+  /// variables were grounded counts once.
+  uint64_t enumerated = 0;
+  /// Discarded because a variable-derived relation resolved kNotFound.
+  uint64_t pruned_notfound = 0;
+  /// Dropped by a label conjunct.
+  uint64_t pruned_predicate = 0;
+};
+
 /// Grounds the schema variables of a bound single-branch query `stmt`
 /// against `catalog`, in FROM-clause declaration order:
 ///   * a database variable ranges over all database names,
@@ -43,14 +56,21 @@ struct Grounding {
 /// A grounding whose database/relation does not exist contributes an empty
 /// range (not an error), matching "ranges over all X in Y" semantics.
 ///
-/// When `metrics` is non-null, records `groundings.enumerated` (the full
-/// cross product of variable ranges, before the feasibility filter) and
-/// `groundings.pruned_notfound` (groundings discarded because a
-/// variable-derived relation resolved kNotFound) — enumerated minus pruned
-/// equals the number of queries returned.
+/// Label conjuncts restrict the ranges: a top-level WHERE conjunct whose
+/// only references are schema variables (`R = 'coa'`) is evaluated, by the
+/// engine's evaluator, as soon as its variables are grounded, and a
+/// grounding it makes False or Unknown is dropped before any later variable
+/// is grounded. Its first-order query would evaluate to no rows, so the bag
+/// union is unchanged; a dropped grounding is not a source of the query (it
+/// is never resolved, failpoint-checked or evaluated). A conjunct that
+/// errors keeps its grounding. When the conjuncts drop every grounding, the
+/// first feasible grounding of the unrestricted enumeration is returned, so
+/// the empty answer keeps its output schema.
+///
+/// When `counts` is non-null, it receives how the groundings were decided.
 Result<std::vector<InstantiatedQuery>> InstantiateSchemaVars(
     const SelectStmt& stmt, const BoundQuery& bq, const CatalogReader& catalog,
-    const std::string& default_db, MetricsRegistry* metrics = nullptr);
+    const std::string& default_db, GroundingCounts* counts = nullptr);
 
 /// Substitutes one grounding into a clone of `stmt` (exposed for testing and
 /// for the translation machinery): removes schema-variable declarations,

@@ -1,5 +1,6 @@
 #include "sql/ast.h"
 
+#include <cmath>
 #include <functional>
 
 namespace dynview {
@@ -126,6 +127,22 @@ std::unique_ptr<Expr> Expr::Clone() const {
   return e;
 }
 
+namespace {
+
+/// A double literal rendered losslessly and lexed back as a double: the
+/// round-trip digits, with ".0" added where they read as an integer.
+/// (Value::ToString's "%g" would make 1.0000001 and 1 the same text, and
+/// the plan cache keys on this text.)
+std::string DoubleLiteral(const Value& v) {
+  std::string text = RoundTripDouble(v.as_double());
+  if (text.find_first_not_of("-0123456789") == std::string::npos) {
+    text += ".0";
+  }
+  return text;
+}
+
+}  // namespace
+
 std::string Expr::ToString() const {
   switch (kind) {
     case ExprKind::kLiteral:
@@ -135,6 +152,7 @@ std::string Expr::ToString() const {
       if (literal.kind() == TypeKind::kDate) {
         return "DATE '" + literal.ToString() + "'";
       }
+      if (literal.kind() == TypeKind::kDouble) return DoubleLiteral(literal);
       return literal.ToString();
     case ExprKind::kVarRef:
       return var_name;
@@ -312,6 +330,16 @@ void ForEachExpr(SelectStmt* stmt, const std::function<void(Expr*)>& fn) {
 
 }  // namespace
 
+void SplitConjuncts(const Expr* e, std::vector<const Expr*>* out) {
+  if (e == nullptr) return;
+  if (e->kind == ExprKind::kLogic && e->op == BinaryOp::kAnd) {
+    SplitConjuncts(e->left.get(), out);
+    SplitConjuncts(e->right.get(), out);
+    return;
+  }
+  out->push_back(e);
+}
+
 int CountParameters(const SelectStmt& stmt) {
   int max_index = -1;
   ForEachExpr(const_cast<SelectStmt*>(&stmt), [&](Expr* e) {
@@ -336,7 +364,17 @@ Status SubstituteParameters(SelectStmt* stmt,
       }
       return;
     }
-    e->literal = params[e->param_index];
+    const Value& v = params[e->param_index];
+    if (v.kind() == TypeKind::kDouble && !std::isfinite(v.as_double())) {
+      // No literal spells inf or NaN; the statement must stay renderable.
+      if (status.ok()) {
+        status = Status::InvalidArgument(
+            "parameter ?" + std::to_string(e->param_index + 1) +
+            " is not a finite number");
+      }
+      return;
+    }
+    e->literal = v;
     e->param_index = -1;
   });
   return status;

@@ -199,14 +199,19 @@ struct SelectStmt {
   bool IsHigherOrder() const;
 };
 
+/// Splits a WHERE tree into its top-level AND conjuncts, left to right (a
+/// null tree has none).
+void SplitConjuncts(const Expr* e, std::vector<const Expr*>* out);
+
 /// Number of positional parameters a statement declares: one plus the
 /// largest Expr::param_index found anywhere in the statement (all UNION
 /// branches), 0 when parameter-free.
 int CountParameters(const SelectStmt& stmt);
 
 /// Replaces every positional parameter `?k` in `stmt` (all UNION branches)
-/// by `params[k]` and clears the param markers. Errors when a parameter
-/// ordinal has no corresponding value.
+/// by `params[k]` and clears the param markers. Errors (InvalidArgument)
+/// when a parameter ordinal has no corresponding value or a bound double is
+/// not finite.
 Status SubstituteParameters(SelectStmt* stmt, const std::vector<Value>& params);
 
 /// CREATE VIEW with a possibly data-dependent output schema:

@@ -110,13 +110,27 @@ Result<std::vector<Token>> Lexer::Tokenize(const std::string& input) {
     if (std::isdigit(static_cast<unsigned char>(c))) {
       size_t j = i;
       bool has_dot = false;
-      while (j < n && (std::isdigit(static_cast<unsigned char>(input[j])) ||
-                       (!has_dot && input[j] == '.' && j + 1 < n &&
-                        std::isdigit(static_cast<unsigned char>(input[j + 1]))))) {
+      auto digit_at = [&](size_t k) {
+        return k < n && std::isdigit(static_cast<unsigned char>(input[k]));
+      };
+      while (digit_at(j) ||
+             (!has_dot && j < n && input[j] == '.' && digit_at(j + 1))) {
         if (input[j] == '.') has_dot = true;
         ++j;
       }
-      push(has_dot ? TokenKind::kDoubleLiteral : TokenKind::kIntLiteral,
+      // An exponent (1e+20, 2.5E-7) makes a double literal.
+      bool has_exp = false;
+      if (j < n && (input[j] == 'e' || input[j] == 'E')) {
+        size_t k = j + 1;
+        if (k < n && (input[k] == '+' || input[k] == '-')) ++k;
+        if (digit_at(k)) {
+          has_exp = true;
+          j = k;
+          while (digit_at(j)) ++j;
+        }
+      }
+      push(has_dot || has_exp ? TokenKind::kDoubleLiteral
+                              : TokenKind::kIntLiteral,
            input.substr(i, j - i), start);
       i = j;
       continue;

@@ -12,8 +12,9 @@
 //  - prepared queries must bind positionally, share cached plans across
 //    repeats and with equivalent ad-hoc SQL, and reject arity mismatches;
 //  - AnswerGuarded, ExecutePrepared and Answer share one answer path: its
-//    unparseable-SQL status, error precedence and vanished-materialization
-//    degrade are pinned on both a cache hit and a cold miss;
+//    unparseable-SQL status (the ParseError), error precedence, lossless
+//    double parameters and vanished-materialization degrade are pinned on
+//    both a cache hit and a cold miss;
 //  - the Ex. 5.2 / Ex. 5.3 golden rewritings must answer identically
 //    through the cache (the goldens themselves live in
 //    golden_translation_test; here we pin the cached execution to them);
@@ -23,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -499,6 +501,32 @@ TEST_F(PlanCacheTest, ArithmeticGroupingNeverSharesAPlan) {
   EXPECT_NE(a.value().table.ToString(), b.value().table.ToString());
 }
 
+TEST(PlanCacheDoubleTest, NearbyDoubleLiteralsNeverShareAPlan) {
+  // "%g" renders 1.0000001, 1.0 and 1 alike; the exact fingerprint keys on
+  // the rendering, so after the first query is cached the others must miss
+  // rather than be served its plan (and its two rows).
+  Catalog catalog;
+  Table m(Schema({{"k", TypeKind::kInt}, {"v", TypeKind::kDouble}}));
+  ASSERT_TRUE(m.AppendRow({Value::Int(1), Value::Double(1.0)}).ok());
+  ASSERT_TRUE(m.AppendRow({Value::Int(2), Value::Double(1.0)}).ok());
+  ASSERT_TRUE(m.AppendRow({Value::Int(3), Value::Double(2.0)}).ok());
+  ASSERT_TRUE(catalog.PutTable("I", "m", std::move(m)).ok());
+  IntegrationSystem system(&catalog, "I");
+  AnswerOptions opts;
+  opts.multiset = true;
+  const std::string base = "select K, V from I::m T, T.k K, T.v V where V < ";
+  auto a = system.AnswerGuarded(base + "1.0000001", opts);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  EXPECT_EQ(a.value().table.num_rows(), 2u);
+  for (const char* bound : {"1", "1.0"}) {
+    auto b = system.AnswerGuarded(base + bound, opts);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_FALSE(b.value().plan_cached) << bound;
+    EXPECT_NE(b.value().plan_fingerprint, a.value().plan_fingerprint);
+    EXPECT_EQ(b.value().table.num_rows(), 0u) << bound;
+  }
+}
+
 TEST_F(PlanCacheTest, PreparedStringParameterIsNeverInjected) {
   auto prepared = system_->Prepare(
       "select C, P from I::stock T, T.company C, T.price P where C = ?");
@@ -593,25 +621,60 @@ class AnswerPathTest : public ::testing::Test {
 
 TEST_F(AnswerPathTest, UnparseableSqlStatus) {
   const std::string garbage = "select from where";
+  constexpr char kParseError[] =
+      "ParseError: expected expression (got FROM 'from' at offset 7)";
   for (int i = 0; i < 2; ++i) {  // The second call must not differ.
     auto r = system_->AnswerGuarded(garbage, Multiset());
-    EXPECT_EQ(r.status().ToString(),
-              "NotFound: no registered source can answer the query: expected "
-              "expression (got FROM 'from' at offset 7)")
-        << "call " << i;
+    EXPECT_EQ(r.status().ToString(), kParseError) << "call " << i;
   }
-  EXPECT_EQ(system_->Prepare(garbage).status().ToString(),
-            "ParseError: expected expression (got FROM 'from' at offset 7)");
-  // A bound double renders as "1e+20", which the rewriters cannot parse
-  // back: the prepared query still answers, from the direct plan on I.
-  auto prepared = system_->Prepare(
-      "select C, P from I::stock T, T.company C, T.price P where P > ?");
+  EXPECT_EQ(system_->Prepare(garbage).status().ToString(), kParseError);
+  // Without any registered source the parse error is the answer too.
+  Catalog bare_catalog;
+  IntegrationSystem bare(&bare_catalog, "I");
+  EXPECT_EQ(bare.AnswerGuarded(garbage, Multiset()).status().ToString(),
+            kParseError);
+  EXPECT_EQ(bare.Answer(garbage, true).status().ToString(), kParseError);
+}
+
+TEST_F(AnswerPathTest, PreparedDoublesKeepTheirRewriting) {
+  // A bound double reaches Alg. 5.1's translators as rendered text. 1e20
+  // must render as a double the lexer reads back, and 299.9999999 must not
+  // round to 300; either slip would skip the rewriting or change the query.
+  const std::string base =
+      "select C, P from I::stock T, T.company C, T.price P where P > ";
+  auto prepared = system_->Prepare(base + "?");
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  auto r = system_->ExecutePrepared(*prepared.value(), {Value::Double(1e20)},
-                                    Multiset());
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value().table.num_rows(), 0u);
-  EXPECT_TRUE(r.value().warnings.empty());
+  const std::pair<double, const char*> cases[] = {
+      {1e20, "100000000000000000000.0"}, {299.9999999, "299.9999999"}};
+  for (const auto& [value, inline_text] : cases) {
+    auto cold = system_->ExecutePrepared(*prepared.value(),
+                                         {Value::Double(value)}, Multiset());
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    EXPECT_FALSE(cold.value().plan_cached) << inline_text;
+    EXPECT_TRUE(cold.value().warnings.empty()) << inline_text;
+    auto direct = system_->AnswerGuarded(base + inline_text, Multiset());
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    EXPECT_EQ(cold.value().table.ToString(), direct.value().table.ToString())
+        << inline_text;
+    // The cached plan is the rewriting onto s2x::allstock: with that
+    // relation vanished, a repeat degrades with the vanished warning.
+    VanishMaterialization();
+    auto hit = system_->ExecutePrepared(*prepared.value(),
+                                        {Value::Double(value)}, Multiset());
+    FailPoints::DisarmAll();
+    ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+    EXPECT_TRUE(hit.value().plan_cached) << inline_text;
+    ASSERT_EQ(hit.value().warnings.size(), 1u) << inline_text;
+    EXPECT_EQ(hit.value().warnings[0].status.ToString(), kVanishedWarning);
+    EXPECT_EQ(hit.value().table.ToString(), direct.value().table.ToString());
+  }
+  for (double bad : {std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    auto r = system_->ExecutePrepared(*prepared.value(), {Value::Double(bad)},
+                                      Multiset());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+  }
 }
 
 TEST_F(AnswerPathTest, VanishedMaterializationOnColdMiss) {
@@ -841,6 +904,34 @@ TEST(FingerprintTest, EmbeddedQuotesStayDistinctAndRoundTrip) {
       FingerprintSql(stmt.value()->ToString(), FingerprintMode::kExact);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(again.value().normalized, a.value().normalized);
+}
+
+TEST(FingerprintTest, DoubleLiteralsRenderLosslessly) {
+  // Each rendering re-parses to the same double, and distinct doubles
+  // render distinctly.
+  for (const char* text : {"1.0000001", "1.0", "299.9999999", "1e20",
+                           "2.5E-7", "0.1", "123456789012345680000.0"}) {
+    auto stmt = Parser::ParseSelect(
+        std::string("select C from s1::stock T, T.company C, T.price P "
+                    "where P > ") +
+        text);
+    ASSERT_TRUE(stmt.ok()) << text << ": " << stmt.status().ToString();
+    const Value& v = stmt.value()->where->right->literal;
+    ASSERT_EQ(v.kind(), TypeKind::kDouble) << text;
+    auto again = Parser::ParseSelect(stmt.value()->ToString());
+    ASSERT_TRUE(again.ok()) << stmt.value()->ToString();
+    const Value& back = again.value()->where->right->literal;
+    ASSERT_EQ(back.kind(), TypeKind::kDouble) << stmt.value()->ToString();
+    EXPECT_EQ(back.as_double(), v.as_double()) << stmt.value()->ToString();
+  }
+  auto a = FingerprintSql("select C from s1::stock T, T.company C, "
+                          "T.price P where P < 1.0000001",
+                          FingerprintMode::kExact);
+  auto b = FingerprintSql("select C from s1::stock T, T.company C, "
+                          "T.price P where P < 1.0",
+                          FingerprintMode::kExact);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_NE(a.value().normalized, b.value().normalized);
 }
 
 // ---- plan cache invalidation under schema evolution ------------------------

@@ -40,6 +40,7 @@ std::string InvariantCounters(const MetricsRegistry& m) {
 struct RunResult {
   std::string table;
   std::string counters;
+  std::map<std::string, uint64_t> values;  // Every merged counter.
 };
 
 RunResult RunAt(Catalog* catalog, const std::string& db,
@@ -56,6 +57,7 @@ RunResult RunAt(Catalog* catalog, const std::string& db,
   RunResult out;
   if (r.ok()) out.table = r.value().ToString();
   out.counters = InvariantCounters(obs.metrics);
+  out.values = obs.metrics.Merged();
   return out;
 }
 
@@ -104,6 +106,45 @@ TEST(DeterminismTest, JoinQueryIdenticalAcrossThreadCounts) {
         &catalog, "db0",
         "select C, Y, P from db0::stock T, T.company C, T.price P, "
         "db0::cotype U, U.co C2, U.type Y where C = C2 and P > 80");
+  }
+}
+
+// Range restriction by WHERE label conjuncts is decided on the driving
+// thread before the fan-out, so groundings.pruned_predicate is invariant
+// like the other grounding counters, and the counters always add up:
+// enumerated = pruned_notfound + pruned_predicate + evaluated.
+TEST(DeterminismTest, LabelConjunctPruningIdenticalAcrossThreadCounts) {
+  StockGenConfig cfg;
+  cfg.num_companies = 6;
+  cfg.num_dates = 9;
+  cfg.prices_per_day = 2;
+  cfg.seed = 5;
+  Catalog catalog;
+  ASSERT_TRUE(InstallStockS2(&catalog, "s2", GenerateStockS1(cfg)).ok());
+  const std::string base =
+      "select R, D, P from s2 -> R, R T, T.date D, T.price P where ";
+  const std::pair<std::string, uint64_t> cases[] = {
+      {base + "R = 'coC' and P > 50", 1},
+      {base + "R <> 'coA'", 5},
+      {base + "R IN ('coB', 'coE') or R = 'coF'", 3},
+      {base + "R = 'absent'", 1},  // The first grounding keeps the schema.
+      {"select distinct R, D from s2 -> R, R T, T.date D "
+       "where R <> 'coB' order by D, R",
+       5},
+  };
+  for (const auto& [sql, evaluated] : cases) {
+    ExpectIdenticalAcrossThreadCounts(&catalog, "s2", sql);
+    for (int threads : {1, 8}) {
+      RunResult r = RunAt(&catalog, "s2", sql, threads);
+      EXPECT_EQ(r.values[counters::kGroundingsEvaluated], evaluated)
+          << sql << " at num_threads=" << threads;
+      EXPECT_EQ(r.values[counters::kGroundingsEnumerated], 6u) << sql;
+      EXPECT_EQ(r.values[counters::kGroundingsEnumerated],
+                r.values[counters::kGroundingsPrunedNotFound] +
+                    r.values[counters::kGroundingsPrunedPredicate] +
+                    r.values[counters::kGroundingsEvaluated])
+          << sql << " at num_threads=" << threads;
+    }
   }
 }
 

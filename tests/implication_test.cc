@@ -21,7 +21,7 @@ bool Implies(const std::string& given, const std::string& pred) {
   auto g = ParsePred(given);
   auto p = ParsePred(pred);
   std::vector<const Expr*> conjuncts;
-  CollectConjuncts(g.get(), &conjuncts);
+  SplitConjuncts(g.get(), &conjuncts);
   ConditionAnalyzer analyzer(conjuncts);
   return analyzer.Implies(*p);
 }
@@ -114,7 +114,7 @@ TEST(ImplicationTest, OutsideTheoryIsSyntacticOnly) {
 TEST(ImplicationTest, EqualVariablesEnumeration) {
   auto g = ParsePred("a = b and b = c and d = 5");
   std::vector<const Expr*> conjuncts;
-  CollectConjuncts(g.get(), &conjuncts);
+  SplitConjuncts(g.get(), &conjuncts);
   ConditionAnalyzer analyzer(conjuncts);
   auto eq = analyzer.EqualVariables("a");
   EXPECT_EQ(eq.size(), 3u);

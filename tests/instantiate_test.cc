@@ -60,9 +60,11 @@ TEST_F(InstantiateTest, RelationVariableRangesOverDatabase) {
 TEST_F(InstantiateTest, AttributeVariableRangesOverRelation) {
   auto ground =
       Ground("select A from s3::stock -> A, s3::stock T where A <> 'date'");
-  // date + 2 company columns; grounding enumerates all three (the WHERE
-  // filter applies at evaluation).
-  ASSERT_EQ(ground.size(), 3u);
+  // date + 2 company columns; the label conjunct drops `date` while A is
+  // grounded, so only the two company columns remain.
+  ASSERT_EQ(ground.size(), 2u);
+  EXPECT_EQ(ground[0].labels.at("a"), "coA");
+  EXPECT_EQ(ground[1].labels.at("a"), "coB");
 }
 
 TEST_F(InstantiateTest, DatabaseVariableRangesOverFederation) {
@@ -92,7 +94,9 @@ TEST_F(InstantiateTest, ValueReferencesBecomeStringLiterals) {
 
 TEST_F(InstantiateTest, PredicateReferencesSubstituted) {
   auto ground = Ground("select 1 from s2 -> R, R T where R = 'coB'");
-  ASSERT_EQ(ground.size(), 2u);
+  // The label conjunct restricts R to coB.
+  ASSERT_EQ(ground.size(), 1u);
+  EXPECT_EQ(ground[0].labels.at("r"), "coB");
   // After substitution the predicate is a constant comparison.
   EXPECT_EQ(ground[0].query->where->left->kind, ExprKind::kLiteral);
 }

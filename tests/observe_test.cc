@@ -155,7 +155,7 @@ TEST_F(ObserveEngineTest, FanOutPopulatesCountersAndTrace) {
 
   EXPECT_EQ(obs.metrics.Value(counters::kGroundingsEnumerated), 3u);
   EXPECT_EQ(obs.metrics.Value(counters::kGroundingsEvaluated), 3u);
-  EXPECT_EQ(obs.metrics.Value(counters::kGroundingsPruned), 0u);
+  EXPECT_EQ(obs.metrics.Value(counters::kGroundingsPrunedNotFound), 0u);
   EXPECT_EQ(obs.metrics.Value(counters::kRowsUnioned), 15u);
   EXPECT_GE(obs.metrics.Value(counters::kRowsScanned), 15u);
   EXPECT_EQ(obs.metrics.Value(counters::kSourcesSkipped), 0u);

@@ -229,11 +229,10 @@ TEST_F(ServerTest, DeepNestingFramesGetErrorRepliesAndServingContinues) {
     auto client = ServerClient::Connect("127.0.0.1", server.port());
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     for (const auto& [sql, what] : bombs) {
-      // `query` keeps the answer path's precedence: no source could rewrite
-      // the text, and the rewrite's NotFound carries the parse error.
+      // `query` answers with the ParseError itself.
       auto reply = client.value()->Query(sql, qopts);
       ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-      EXPECT_EQ(reply.value().status.code(), StatusCode::kNotFound);
+      EXPECT_EQ(reply.value().status.code(), StatusCode::kParseError);
       EXPECT_NE(reply.value().status.message().find(what), std::string::npos)
           << reply.value().status.ToString();
       // `explain` reports the ParseError itself.
@@ -252,6 +251,42 @@ TEST_F(ServerTest, DeepNestingFramesGetErrorRepliesAndServingContinues) {
   ASSERT_TRUE(reply.value().status.ok()) << reply.value().status.ToString();
   EXPECT_EQ(reply.value().csv, expected_csv);
   server.Stop();
+}
+
+TEST_F(ServerTest, UnparseableQueryFrameGetsItsParseError) {
+  // With and without a source that could answer I, a `query` frame whose
+  // text does not parse is answered with the ParseError (token and offset),
+  // and the session goes on serving.
+  for (bool with_source : {false, true}) {
+    IntegrationSystem system(&catalog_, "I");
+    if (with_source) {
+      ASSERT_TRUE(system
+                      .RegisterSource("create view s2::C(date, price) as "
+                                      "select D, P from I::stock T, "
+                                      "T.company C, T.date D, T.price P")
+                      .ok());
+    }
+    QueryServer server(&system);
+    ASSERT_TRUE(server.Start().ok());
+    ClientQueryOptions qopts;
+    qopts.multiset = true;
+    auto client = ServerClient::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    auto bad = client.value()->Query("select from where", qopts);
+    ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+    EXPECT_EQ(bad.value().status.ToString(),
+              "ParseError: expected expression (got FROM 'from' at offset 7)")
+        << "with_source=" << with_source;
+    AnswerOptions options;
+    options.multiset = true;
+    auto expected = system.AnswerGuarded(kFirstOrder, options);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    auto good = client.value()->Query(kFirstOrder, qopts);
+    ASSERT_TRUE(good.ok()) << good.status().ToString();
+    ASSERT_TRUE(good.value().status.ok()) << good.value().status.ToString();
+    EXPECT_EQ(good.value().csv, TableToCsvTyped(expected.value().table));
+    server.Stop();
+  }
 }
 
 TEST_F(ServerTest, ExplainLintPrepareExecuteAndStatsOverTheWire) {

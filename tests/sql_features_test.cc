@@ -80,7 +80,7 @@ TEST_F(SqlFeaturesTest, BetweenFeedsTheProver) {
       "select a from t where a between 100 and 200");
   ASSERT_TRUE(s.ok());
   std::vector<const Expr*> conjuncts;
-  CollectConjuncts(s.value()->where.get(), &conjuncts);
+  SplitConjuncts(s.value()->where.get(), &conjuncts);
   ConditionAnalyzer analyzer(conjuncts);
   auto pred = Parser::ParseSelect("select a from t where a > 50");
   ASSERT_TRUE(pred.ok());
