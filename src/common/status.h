@@ -25,6 +25,10 @@ enum class StatusCode {
   kCancelled,          // cooperative cancellation was requested
   kResourceExhausted,  // a row/memory budget tripped
   kUnavailable,        // a source is (possibly transiently) unreachable
+  // Durable state that cannot be applied: a checksummed record that does
+  // not decode, or a logged change that does not fit the state it replays
+  // onto.
+  kDataLoss,
 };
 
 /// Returns a human-readable name for `code` (e.g. "ParseError").
@@ -92,6 +96,9 @@ class Status {
   }
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
+  }
+  static Status DataLoss(std::string msg) {
+    return Status(StatusCode::kDataLoss, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

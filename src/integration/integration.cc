@@ -412,6 +412,8 @@ Status IntegrationSystem::RestoreSourceRecord(const std::string& payload) {
   DV_RETURN_IF_ERROR(r.U8(&fenced));
   DV_RETURN_IF_ERROR(r.U64(&materialized_version));
   DV_RETURN_IF_ERROR(r.U32(&nrefs));
+  // Per ref: two u32 string lengths.
+  DV_RETURN_IF_ERROR(r.CheckCount(nrefs, 8, "materialization refs"));
   std::vector<TableRef> refs;
   refs.reserve(nrefs);
   for (uint32_t i = 0; i < nrefs; ++i) {
@@ -421,6 +423,8 @@ Status IntegrationSystem::RestoreSourceRecord(const std::string& payload) {
     refs.push_back(std::move(ref));
   }
   DV_RETURN_IF_ERROR(r.U32(&ndiags));
+  // Per diagnostic: four u32 string lengths, a u8, two u64s and an i32.
+  DV_RETURN_IF_ERROR(r.CheckCount(ndiags, 37, "diagnostics"));
   std::vector<Diagnostic> diags;
   diags.reserve(ndiags);
   for (uint32_t i = 0; i < ndiags; ++i) {

@@ -2,6 +2,7 @@
 #define DYNVIEW_RELATIONAL_CATALOG_H_
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -22,13 +23,24 @@ struct RecoveryReport;  // storage/durable_catalog.h
 /// are schema labels that SchemaSQL relation variables (`db -> R`) range
 /// over, so enumeration order must be deterministic (we keep names sorted).
 ///
-/// A Database object is only ever mutated inside a CatalogTxn (where the
-/// transaction owns a private clone); everywhere else it is reached through
-/// a `const Database*` and is immutable.
+/// Copy-on-write at table granularity: each relation is held as a
+/// `shared_ptr<const Table>`, so copying a Database copies pointers and the
+/// copy shares every table with its source. A Database only ever writes a
+/// table it created itself (`AddTable`/`PutTable`) or cloned for write
+/// (`GetMutableTable`); a copy owns none of the tables it shares. A Database
+/// is only ever mutated inside a CatalogTxn (on the transaction's private
+/// copy); everywhere else it is reached through a `const Database*` and is
+/// immutable, and so is every table a published snapshot can reach.
 class Database {
  public:
   Database() = default;
   explicit Database(std::string name) : name_(std::move(name)) {}
+
+  /// Shares the tables of `other`, owning none of them.
+  Database(const Database& other);
+  Database& operator=(const Database& other);
+  Database(Database&&) = default;
+  Database& operator=(Database&&) = default;
 
   const std::string& name() const { return name_; }
 
@@ -38,11 +50,19 @@ class Database {
   /// Replaces or creates `rel_name`.
   void PutTable(const std::string& rel_name, Table table);
 
+  /// Replaces or creates `rel_name` with a shared, immutable table.
+  void PutTable(const std::string& rel_name,
+                std::shared_ptr<const Table> table);
+
   /// Removes `rel_name`; fails if absent.
   Status DropTable(const std::string& rel_name);
 
   bool HasTable(const std::string& rel_name) const;
   Result<const Table*> GetTable(const std::string& rel_name) const;
+
+  /// Writable access to `rel_name`. The first call for a table this
+  /// Database does not own clones it (only that table); later calls return
+  /// the same clone.
   Result<Table*> GetMutableTable(const std::string& rel_name);
 
   /// Relation names in sorted order — the range of a relation variable.
@@ -51,9 +71,56 @@ class Database {
   size_t num_tables() const { return tables_.size(); }
 
  private:
+  friend class Catalog;
+
+  struct Entry {
+    std::string name;                    // Original-case relation name.
+    std::shared_ptr<const Table> table;  // Possibly shared with other copies.
+    Table* owned = nullptr;  // == table.get() when this Database may write it.
+  };
+
   std::string name_;
-  // Keyed by lowercase name; value keeps original-case name + table.
-  std::map<std::string, std::pair<std::string, Table>> tables_;
+  // Keyed by lowercase name.
+  std::map<std::string, Entry> tables_;
+};
+
+/// What one commit did to one relation of a database. A commit's durable
+/// record (storage/wal.h) is a list of these, derived in `Catalog::Mutate`
+/// by comparing the commit's base snapshot with the next one, and replayed
+/// by `Catalog::ApplyRecoveredCommit`.
+struct TableChange {
+  enum class Kind : uint8_t {
+    kPut = 1,     // `table` replaces (or creates) the relation.
+    kAppend = 2,  // `rows` extend a relation of exactly `base_rows` rows.
+    kDrop = 3,    // The relation is removed.
+  };
+  Kind kind = Kind::kPut;
+  std::string name;                    // Original-case relation name.
+  std::shared_ptr<const Table> table;  // kPut only.
+  uint64_t base_rows = 0;              // kAppend only.
+  std::vector<Row> rows;               // kAppend only.
+};
+
+/// What one commit did to one database.
+struct DatabaseChange {
+  enum class Kind : uint8_t {
+    kModify = 0,  // `tables` apply to the existing database (maybe none:
+                  // a touched database whose contents did not change).
+    kCreate = 1,  // An empty database named `name` (new, or re-created under
+                  // another letter case) receives `tables`.
+    kDrop = 2,    // The database is removed.
+  };
+  Kind kind = Kind::kModify;
+  std::string name;  // Original-case database name.
+  std::vector<TableChange> tables;
+};
+
+/// One commit as a change: its version and, in lowercase-name order, each
+/// database it created, modified or dropped. Every database listed and not
+/// dropped takes `version` as its DatabaseVersion.
+struct CatalogChange {
+  uint64_t version = 0;
+  std::vector<DatabaseChange> databases;
 };
 
 /// Read-only view of a federation of databases. Both the live `Catalog`
@@ -84,8 +151,9 @@ class CatalogReader {
 /// for the duration of a query, so every read the query performs — grounding
 /// enumeration, operator scans, optimizer statistics, view materialization
 /// input — observes one consistent version even while writers commit new
-/// ones concurrently. Databases are shared (refcounted) across versions;
-/// a commit clones only the databases it touched.
+/// ones concurrently. Databases and their tables are shared (refcounted)
+/// across versions: a commit copies the table pointers of the databases it
+/// touched and clones only the tables it writes.
 class CatalogSnapshot final : public CatalogReader {
  public:
   /// Monotonic catalog version this snapshot represents (0 = empty seed).
@@ -128,8 +196,10 @@ class CatalogSnapshot final : public CatalogReader {
 
 /// A pending catalog mutation: a copy-on-write overlay over the version the
 /// writer observed at `Catalog::Mutate` entry. Reads see this transaction's
-/// own writes (read-your-writes); a database is deep-cloned the first time
-/// the transaction asks for mutable access to it. Nothing is visible to
+/// own writes (read-your-writes); a database is copied (its table pointers,
+/// not its rows) the first time the transaction asks for mutable access to
+/// it, and a table is cloned the first time the transaction asks for
+/// mutable access to that table. Nothing is visible to
 /// concurrent readers until `Mutate` publishes the commit atomically —
 /// a failed transaction publishes nothing.
 class CatalogTxn {
@@ -167,8 +237,8 @@ class CatalogTxn {
   std::shared_ptr<const CatalogSnapshot> Build(uint64_t version,
                                                const Catalog* origin) const;
 
-  /// Clones the base database under `key` for write (no-op when already
-  /// owned by this transaction).
+  /// Copies the base database under `key` for write — its table pointers,
+  /// not its rows (no-op when already owned by this transaction).
   Database* Own(const std::string& key);
 
   std::map<std::string, CatalogSnapshot::Entry> entries_;
@@ -189,19 +259,18 @@ class CatalogCommitSink {
  public:
   virtual ~CatalogCommitSink() = default;
 
-  /// `next` is the snapshot about to publish. `touched` holds the sorted
-  /// lowercase keys of every database the transaction created, modified or
-  /// dropped (a touched key absent from `next` was dropped). `tag` labels
-  /// the mutation's origin ("txn" by default); it is persisted verbatim and
-  /// handed back during replay, letting higher layers re-attach semantics
-  /// (e.g. maintainer fence advances) to physical records.
-  virtual Status OnCommit(const CatalogSnapshot& next,
-                          const std::vector<std::string>& touched,
+  /// `change` is what the commit about to publish did, table by table
+  /// (`change.version` is its version). `tag` labels the mutation's origin
+  /// ("txn" by default); it is persisted verbatim and handed back during
+  /// replay, letting higher layers re-attach semantics (e.g. maintainer
+  /// fence advances) to physical records.
+  virtual Status OnCommit(const CatalogChange& change,
                           const std::string& tag) = 0;
 };
 
 /// One database of a recovered snapshot: original-case name, the catalog
-/// version that last modified it, and its full contents.
+/// version that last modified it, and its contents (copying a Database
+/// shares its tables).
 struct RecoveredDatabase {
   std::string name;
   uint64_t version = 0;
@@ -222,9 +291,10 @@ struct RecoveredDatabase {
 /// the head lock, and publish with one pointer swap — so mutations never
 /// block readers behind transaction work and readers never observe a torn
 /// mix of versions. The inherited CatalogReader methods read the *current*
-/// version; the `const Database*`/`const Table*` they return stay valid
-/// until a later commit touches that database, which is always safe
-/// single-threaded, while concurrent readers must pin a snapshot.
+/// version; a `const Database*` they return stays valid until a later
+/// commit touches that database and a `const Table*` until a later commit
+/// writes or drops that table, which is always safe single-threaded, while
+/// concurrent readers must pin a snapshot.
 class Catalog final : public CatalogReader {
  public:
   Catalog();
@@ -282,12 +352,12 @@ class Catalog final : public CatalogReader {
   Status InstallRecoveredSnapshot(uint64_t version,
                                   std::vector<RecoveredDatabase> databases);
 
-  /// Re-applies one replayed WAL commit: `puts` replace whole databases
-  /// (original-case name + contents), `drops` remove by lowercase key.
-  /// `version` must be strictly newer than the current head.
-  Status ApplyRecoveredCommit(uint64_t version,
-                              std::vector<RecoveredDatabase> puts,
-                              const std::vector<std::string>& drops);
+  /// Re-applies one replayed WAL commit onto the current head. Refuses with
+  /// DataLoss, applying nothing, a change that does not fit that head: a
+  /// version other than head + 1, an append whose `base_rows` (or arity)
+  /// differs from the table it lands on, or a change to a database or
+  /// table that does not exist. A delta is never applied to the wrong base.
+  Status ApplyRecoveredCommit(CatalogChange change);
 
   /// Restores this catalog from `dir` (newest valid snapshot + WAL replay,
   /// tolerating a torn tail — truncate, warn, never crash). Defined in
@@ -331,6 +401,14 @@ class Catalog final : public CatalogReader {
   size_t num_databases() const override;
 
  private:
+  /// The change a commit made: for each touched key, `base` against `next`
+  /// table by table (same table pointer: nothing; same name and schema with
+  /// the base rows a bit-identical prefix: the appended rows; otherwise the
+  /// whole table).
+  static CatalogChange Diff(const CatalogSnapshot& base,
+                            const CatalogSnapshot& next,
+                            const std::set<std::string>& touched);
+
   /// Publishes `next` as the new head (one pointer swap under head_mu_).
   void Publish(std::shared_ptr<const CatalogSnapshot> next) {
     std::lock_guard<std::mutex> lock(head_mu_);

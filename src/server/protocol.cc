@@ -290,7 +290,8 @@ StatusCode ParseStatusCodeName(const std::string& name) {
         StatusCode::kBindError, StatusCode::kTypeError, StatusCode::kEvalError,
         StatusCode::kUnsupported, StatusCode::kInternal,
         StatusCode::kDeadlineExceeded, StatusCode::kCancelled,
-        StatusCode::kResourceExhausted, StatusCode::kUnavailable}) {
+        StatusCode::kResourceExhausted, StatusCode::kUnavailable,
+        StatusCode::kDataLoss}) {
     if (name == StatusCodeName(c)) return c;
   }
   return StatusCode::kInternal;

@@ -43,6 +43,17 @@ Status ByteReader::Need(size_t n) {
   return Status::OK();
 }
 
+Status ByteReader::CheckCount(uint64_t count, size_t min_bytes_each,
+                              const char* what) const {
+  if (count > remaining() / min_bytes_each) {
+    return Status::ParseError("storage payload claims " +
+                              std::to_string(count) + " " + what + " in " +
+                              std::to_string(remaining()) +
+                              " remaining byte(s)");
+  }
+  return Status::OK();
+}
+
 Status ByteReader::U8(uint8_t* v) {
   DV_RETURN_IF_ERROR(Need(1));
   *v = static_cast<uint8_t>(data_[pos_++]);
@@ -124,9 +135,25 @@ void EncodeSchema(const Schema& schema, ByteWriter* w) {
   }
 }
 
+void EncodeStringDict(const StringDict& dict, ByteWriter* w) {
+  w->U32(static_cast<uint32_t>(dict.strings().size()));
+  for (const std::string& s : dict.strings()) w->Str(s);
+}
+
+Status DecodeStringDict(ByteReader* r, std::vector<std::string>* dict) {
+  uint32_t n = 0;
+  DV_RETURN_IF_ERROR(r->U32(&n));
+  DV_RETURN_IF_ERROR(r->CheckCount(n, 4, "dictionary strings"));
+  dict->assign(n, std::string());
+  for (std::string& s : *dict) DV_RETURN_IF_ERROR(r->Str(&s));
+  return Status::OK();
+}
+
 Result<Schema> DecodeSchema(ByteReader* r) {
   uint32_t n = 0;
   DV_RETURN_IF_ERROR(r->U32(&n));
+  // Per column: a u32 name length and a u8 type tag.
+  DV_RETURN_IF_ERROR(r->CheckCount(n, 5, "columns"));
   std::vector<Column> cols;
   cols.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -210,28 +237,39 @@ Result<Value> DecodeCell(ByteReader* r, const std::vector<std::string>& dict) {
 
 }  // namespace
 
-void EncodeTablePayload(const Table& table, StringDict* dict, ByteWriter* w) {
-  EncodeSchema(table.schema(), w);
-  w->U64(table.num_rows());
-  const size_t ncols = table.schema().num_columns();
+void EncodeRows(const std::vector<Row>& rows, size_t ncols, StringDict* dict,
+                ByteWriter* w) {
+  w->U64(rows.size());
+  if (ncols == 0) {
+    for (size_t i = 0; i < rows.size(); ++i) w->U8(0);
+    return;
+  }
   for (size_t c = 0; c < ncols; ++c) {
     ByteWriter page;
-    for (const Row& row : table.rows()) {
-      EncodeCell(row[c], dict, &page);
-    }
+    for (const Row& row : rows) EncodeCell(row[c], dict, &page);
     w->U32(static_cast<uint32_t>(page.size()));
     w->Raw(page.buffer().data(), page.size());
   }
 }
 
-Result<Table> DecodeTablePayload(ByteReader* r,
-                                 const std::vector<std::string>& dict) {
-  DV_ASSIGN_OR_RETURN(Schema schema, DecodeSchema(r));
+Result<std::vector<Row>> DecodeRows(ByteReader* r, size_t ncols,
+                                    const std::vector<std::string>& dict) {
   uint64_t nrows = 0;
   DV_RETURN_IF_ERROR(r->U64(&nrows));
-  const size_t ncols = schema.num_columns();
-  Table table(std::move(schema));
+  // Every cell costs at least its tag byte, every column-less row its
+  // marker byte.
+  DV_RETURN_IF_ERROR(r->CheckCount(nrows, ncols == 0 ? 1 : ncols, "rows"));
   std::vector<Row> rows(nrows);
+  if (ncols == 0) {
+    for (uint64_t i = 0; i < nrows; ++i) {
+      uint8_t marker = 0;
+      DV_RETURN_IF_ERROR(r->U8(&marker));
+      if (marker != 0) {
+        return Status::ParseError("bad row marker " + std::to_string(marker));
+      }
+    }
+    return rows;
+  }
   for (Row& row : rows) row.resize(ncols);
   for (size_t c = 0; c < ncols; ++c) {
     uint32_t page_len = 0;
@@ -241,6 +279,20 @@ Result<Table> DecodeTablePayload(ByteReader* r,
       DV_ASSIGN_OR_RETURN(rows[i][c], DecodeCell(r, dict));
     }
   }
+  return rows;
+}
+
+void EncodeTablePayload(const Table& table, StringDict* dict, ByteWriter* w) {
+  EncodeSchema(table.schema(), w);
+  EncodeRows(table.rows(), table.schema().num_columns(), dict, w);
+}
+
+Result<Table> DecodeTablePayload(ByteReader* r,
+                                 const std::vector<std::string>& dict) {
+  DV_ASSIGN_OR_RETURN(Schema schema, DecodeSchema(r));
+  const size_t ncols = schema.num_columns();
+  DV_ASSIGN_OR_RETURN(std::vector<Row> rows, DecodeRows(r, ncols, dict));
+  Table table(std::move(schema));
   table.Reserve(rows.size());
   for (Row& row : rows) table.AppendRowUnchecked(std::move(row));
   return table;
@@ -261,18 +313,15 @@ void EncodeDatabasePayload(const Database& db, ByteWriter* w) {
     tables.Str(rel);
     EncodeTablePayload(*db.GetTable(rel).value(), &dict, &tables);
   }
-  w->U32(static_cast<uint32_t>(dict.strings().size()));
-  for (const std::string& s : dict.strings()) w->Str(s);
+  EncodeStringDict(dict, w);
   w->Raw(tables.buffer().data(), tables.size());
 }
 
 Result<Database> DecodeDatabasePayload(ByteReader* r) {
   std::string name;
   DV_RETURN_IF_ERROR(r->Str(&name));
-  uint32_t dict_size = 0;
-  DV_RETURN_IF_ERROR(r->U32(&dict_size));
-  std::vector<std::string> dict(dict_size);
-  for (std::string& s : dict) DV_RETURN_IF_ERROR(r->Str(&s));
+  std::vector<std::string> dict;
+  DV_RETURN_IF_ERROR(DecodeStringDict(r, &dict));
   uint32_t ntables = 0;
   DV_RETURN_IF_ERROR(r->U32(&ntables));
   Database db(name);
@@ -288,16 +337,13 @@ Result<Database> DecodeDatabasePayload(ByteReader* r) {
 void EncodeStandaloneTable(const Table& table, ByteWriter* w) {
   StringDict dict;
   CollectTableStrings(table, &dict);
-  w->U32(static_cast<uint32_t>(dict.strings().size()));
-  for (const std::string& s : dict.strings()) w->Str(s);
+  EncodeStringDict(dict, w);
   EncodeTablePayload(table, &dict, w);
 }
 
 Result<Table> DecodeStandaloneTable(ByteReader* r) {
-  uint32_t dict_size = 0;
-  DV_RETURN_IF_ERROR(r->U32(&dict_size));
-  std::vector<std::string> dict(dict_size);
-  for (std::string& s : dict) DV_RETURN_IF_ERROR(r->Str(&s));
+  std::vector<std::string> dict;
+  DV_RETURN_IF_ERROR(DecodeStringDict(r, &dict));
   return DecodeTablePayload(r, dict);
 }
 

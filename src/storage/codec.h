@@ -55,6 +55,13 @@ class ByteReader {
   bool AtEnd() const { return pos_ >= len_; }
   size_t remaining() const { return len_ - pos_; }
 
+  /// ParseError unless `count` items of at least `min_bytes_each` bytes
+  /// fit in what remains: every decoded count is checked this way before
+  /// anything is allocated for it, so a corrupt count cannot ask for more
+  /// memory than the payload could describe.
+  Status CheckCount(uint64_t count, size_t min_bytes_each,
+                    const char* what) const;
+
  private:
   Status Need(size_t n);
 
@@ -81,14 +88,26 @@ class StringDict {
 /// EncodeTablePayload resolves each to an existing id.
 void CollectTableStrings(const Table& table, StringDict* dict);
 
+/// Dictionary: u32 size, then each string.
+void EncodeStringDict(const StringDict& dict, ByteWriter* w);
+Status DecodeStringDict(ByteReader* r, std::vector<std::string>* dict);
+
+/// Rows of `ncols` cells: u64 row count, then one length-prefixed column
+/// page per column. A page holds, per row, a u8 TypeKind tag and the cell
+/// payload (strings as u32 dictionary ids). Column-major pages keep all
+/// tags/payloads of one column adjacent. Rows without columns are written
+/// as one zero byte each, so every row costs at least one byte and a row
+/// count is bounded by the bytes that follow it.
+void EncodeRows(const std::vector<Row>& rows, size_t ncols, StringDict* dict,
+                ByteWriter* w);
+Result<std::vector<Row>> DecodeRows(ByteReader* r, size_t ncols,
+                                    const std::vector<std::string>& dict);
+
 /// Schema: u32 column count, then per column name + u8 TypeKind.
 void EncodeSchema(const Schema& schema, ByteWriter* w);
 Result<Schema> DecodeSchema(ByteReader* r);
 
-/// Table payload: schema, u64 row count, then one length-prefixed column
-/// page per column. A page holds, per row, a u8 TypeKind tag and the cell
-/// payload (strings as u32 dictionary ids). Column-major pages keep all
-/// tags/payloads of one column adjacent.
+/// Table payload: schema, then its rows (EncodeRows).
 void EncodeTablePayload(const Table& table, StringDict* dict, ByteWriter* w);
 Result<Table> DecodeTablePayload(ByteReader* r,
                                  const std::vector<std::string>& dict);

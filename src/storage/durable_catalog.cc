@@ -59,11 +59,10 @@ Status DurableCatalog::RecoverInto(Catalog* catalog, const std::string& dir,
   DV_RETURN_IF_ERROR(ReplayWal(
       dir + "/wal.log", rep.snapshot_version,
       [&](WalCommitRecord&& rec) -> Status {
-        uint64_t version = rec.version;
-        std::string tag = std::move(rec.tag);
-        DV_RETURN_IF_ERROR(catalog->ApplyRecoveredCommit(
-            version, std::move(rec.puts), rec.drops));
-        if (hooks.commit_replay) hooks.commit_replay(version, tag);
+        const uint64_t version = rec.change.version;
+        DV_RETURN_IF_ERROR(
+            catalog->ApplyRecoveredCommit(std::move(rec.change)));
+        if (hooks.commit_replay) hooks.commit_replay(version, rec.tag);
         return Status::OK();
       },
       [&](WalBlobRecord&& rec) -> Status {
@@ -133,15 +132,18 @@ Status DurableCatalog::Close() {
     if (closed_) return Status::OK();
     closed_ = true;
   }
+  // Open failed before the WAL was attached (recovery refused the
+  // directory): the catalog holds a partial recovery that must not be
+  // checkpointed over the files it came from.
+  if (wal_ == nullptr) return Status::OK();
   Status ckpt = Checkpoint();
   catalog_->SetCommitSink(nullptr);
   return ckpt;
 }
 
-Status DurableCatalog::OnCommit(const CatalogSnapshot& next,
-                                const std::vector<std::string>& touched,
+Status DurableCatalog::OnCommit(const CatalogChange& change,
                                 const std::string& tag) {
-  DV_RETURN_IF_ERROR(wal_->OnCommit(next, touched, tag));
+  DV_RETURN_IF_ERROR(wal_->OnCommit(change, tag));
   metrics_.Add(counters::kStorageWalAppends, 1);
   // Gauge: the writer already accounts cumulative bytes.
   metrics_.Set(counters::kStorageWalBytes, wal_->bytes_written());
@@ -174,7 +176,7 @@ Status DurableCatalog::Checkpoint() {
       rd.name = name;
       rd.version = snap.DatabaseVersion(name);
       DV_ASSIGN_OR_RETURN(const Database* db, snap.GetDatabase(name));
-      rd.db = *db;
+      rd.db = *db;  // Shares the tables: copies pointers, not rows.
       data.databases.push_back(std::move(rd));
     }
     if (hooks_.blob_provider) data.extras = hooks_.blob_provider();

@@ -79,8 +79,7 @@ class DurableCatalog final : public CatalogCommitSink {
   DurableCatalog& operator=(const DurableCatalog&) = delete;
 
   /// CatalogCommitSink (called by the catalog, writer mutex held).
-  Status OnCommit(const CatalogSnapshot& next,
-                  const std::vector<std::string>& touched,
+  Status OnCommit(const CatalogChange& change,
                   const std::string& tag) override;
 
   /// Durably logs an opaque integration blob, stamped with the current

@@ -16,8 +16,9 @@ namespace dynview {
 
 namespace {
 
-constexpr uint8_t kRecordCommit = 1;
+// Type 1 was the retired whole-database commit record; it is not read.
 constexpr uint8_t kRecordBlob = 2;
+constexpr uint8_t kRecordCommit = 3;
 
 std::string Errno(const std::string& op, const std::string& path) {
   return op + " " + path + ": " + std::strerror(errno);
@@ -108,30 +109,42 @@ Status WalWriter::AppendRecord(const std::string& payload,
   return Status::OK();
 }
 
-Status WalWriter::OnCommit(const CatalogSnapshot& next,
-                           const std::vector<std::string>& touched,
+Status WalWriter::OnCommit(const CatalogChange& change,
                            const std::string& tag) {
-  ByteWriter w;
-  w.U8(kRecordCommit);
-  w.U64(next.version());
-  w.Str(tag);
-  std::vector<const Database*> puts;
-  std::vector<std::string> drops;
-  for (const std::string& key : touched) {
-    Result<const Database*> db = next.GetDatabase(key);
-    if (db.ok()) {
-      puts.push_back(db.value());
-    } else {
-      drops.push_back(key);
+  // Cells intern their strings while the body is written; the dictionary
+  // then goes in front of it (a reader decodes strictly forward).
+  StringDict dict;
+  ByteWriter body;
+  body.U32(static_cast<uint32_t>(change.databases.size()));
+  for (const DatabaseChange& db : change.databases) {
+    body.Str(db.name);
+    body.U8(static_cast<uint8_t>(db.kind));
+    body.U32(static_cast<uint32_t>(db.tables.size()));
+    for (const TableChange& t : db.tables) {
+      body.U8(static_cast<uint8_t>(t.kind));
+      body.Str(t.name);
+      switch (t.kind) {
+        case TableChange::Kind::kPut:
+          EncodeTablePayload(*t.table, &dict, &body);
+          break;
+        case TableChange::Kind::kAppend: {
+          const size_t ncols = t.rows.empty() ? 0 : t.rows.front().size();
+          body.U64(t.base_rows);
+          body.U32(static_cast<uint32_t>(ncols));
+          EncodeRows(t.rows, ncols, &dict, &body);
+          break;
+        }
+        case TableChange::Kind::kDrop:
+          break;
+      }
     }
   }
-  w.U32(static_cast<uint32_t>(puts.size()));
-  for (const Database* db : puts) {
-    w.U64(next.DatabaseVersion(db->name()));
-    EncodeDatabasePayload(*db, &w);
-  }
-  w.U32(static_cast<uint32_t>(drops.size()));
-  for (const std::string& key : drops) w.Str(key);
+  ByteWriter w;
+  w.U8(kRecordCommit);
+  w.U64(change.version);
+  w.Str(tag);
+  EncodeStringDict(dict, &w);
+  w.Raw(body.buffer().data(), body.size());
   return AppendRecord(w.buffer(), tag);
 }
 
@@ -175,26 +188,73 @@ uint64_t WalWriter::bytes_written() const {
 
 namespace {
 
-Status DecodeCommitPayload(ByteReader* r, WalCommitRecord* rec) {
-  DV_RETURN_IF_ERROR(r->U64(&rec->version));
-  DV_RETURN_IF_ERROR(r->Str(&rec->tag));
-  uint32_t nputs = 0;
-  DV_RETURN_IF_ERROR(r->U32(&nputs));
-  rec->puts.reserve(nputs);
-  for (uint32_t i = 0; i < nputs; ++i) {
-    RecoveredDatabase rd;
-    DV_RETURN_IF_ERROR(r->U64(&rd.version));
-    DV_ASSIGN_OR_RETURN(rd.db, DecodeDatabasePayload(r));
-    rd.name = rd.db.name();
-    rec->puts.push_back(std::move(rd));
+Status DecodeTableChange(ByteReader* r, const std::vector<std::string>& dict,
+                         TableChange* t) {
+  uint8_t kind = 0;
+  DV_RETURN_IF_ERROR(r->U8(&kind));
+  DV_RETURN_IF_ERROR(r->Str(&t->name));
+  switch (kind) {
+    case static_cast<uint8_t>(TableChange::Kind::kPut): {
+      t->kind = TableChange::Kind::kPut;
+      DV_ASSIGN_OR_RETURN(Table table, DecodeTablePayload(r, dict));
+      t->table = std::make_shared<const Table>(std::move(table));
+      return Status::OK();
+    }
+    case static_cast<uint8_t>(TableChange::Kind::kAppend): {
+      t->kind = TableChange::Kind::kAppend;
+      uint32_t ncols = 0;
+      DV_RETURN_IF_ERROR(r->U64(&t->base_rows));
+      DV_RETURN_IF_ERROR(r->U32(&ncols));
+      // Each column is at least a u32 page length.
+      DV_RETURN_IF_ERROR(r->CheckCount(ncols, 4, "columns"));
+      DV_ASSIGN_OR_RETURN(t->rows, DecodeRows(r, ncols, dict));
+      return Status::OK();
+    }
+    case static_cast<uint8_t>(TableChange::Kind::kDrop):
+      t->kind = TableChange::Kind::kDrop;
+      return Status::OK();
+    default:
+      return Status::ParseError("unknown table change kind " +
+                                std::to_string(kind));
   }
-  uint32_t ndrops = 0;
-  DV_RETURN_IF_ERROR(r->U32(&ndrops));
-  rec->drops.reserve(ndrops);
-  for (uint32_t i = 0; i < ndrops; ++i) {
-    std::string key;
-    DV_RETURN_IF_ERROR(r->Str(&key));
-    rec->drops.push_back(std::move(key));
+}
+
+Status DecodeCommitPayload(ByteReader* r, WalCommitRecord* rec) {
+  CatalogChange& change = rec->change;
+  DV_RETURN_IF_ERROR(r->U64(&change.version));
+  DV_RETURN_IF_ERROR(r->Str(&rec->tag));
+  std::vector<std::string> dict;
+  DV_RETURN_IF_ERROR(DecodeStringDict(r, &dict));
+  uint32_t ndbs = 0;
+  DV_RETURN_IF_ERROR(r->U32(&ndbs));
+  // Per database: a u32 name length, a u8 kind and a u32 change count.
+  DV_RETURN_IF_ERROR(r->CheckCount(ndbs, 9, "databases"));
+  change.databases.resize(ndbs);
+  for (DatabaseChange& db : change.databases) {
+    DV_RETURN_IF_ERROR(r->Str(&db.name));
+    uint8_t kind = 0;
+    DV_RETURN_IF_ERROR(r->U8(&kind));
+    if (kind > static_cast<uint8_t>(DatabaseChange::Kind::kDrop)) {
+      return Status::ParseError("unknown database change kind " +
+                                std::to_string(kind));
+    }
+    db.kind = static_cast<DatabaseChange::Kind>(kind);
+    uint32_t ntables = 0;
+    DV_RETURN_IF_ERROR(r->U32(&ntables));
+    // Per table change: a u8 kind and a u32 name length.
+    DV_RETURN_IF_ERROR(r->CheckCount(ntables, 5, "table changes"));
+    if (db.kind == DatabaseChange::Kind::kDrop && ntables != 0) {
+      return Status::ParseError("dropped database '" + db.name +
+                                "' carries table changes");
+    }
+    db.tables.resize(ntables);
+    for (TableChange& t : db.tables) {
+      DV_RETURN_IF_ERROR(DecodeTableChange(r, dict, &t));
+    }
+  }
+  if (!r->AtEnd()) {
+    return Status::ParseError(std::to_string(r->remaining()) +
+                              " trailing byte(s) after the commit record");
   }
   return Status::OK();
 }
@@ -234,8 +294,10 @@ Status ReplayWal(const std::string& path, uint64_t snapshot_version,
     ByteReader frame(log.data() + pos, log.size() - pos);
     uint32_t len = 0;
     uint32_t crc = 0;
+    // An empty payload is torn too: no record is empty, and a zero-filled
+    // tail (what a crash can leave after a file grew) has a matching CRC.
     if (!frame.U32(&len).ok() || !frame.U32(&crc).ok() ||
-        frame.remaining() < len) {
+        frame.remaining() < len || len == 0) {
       torn = true;
       break;
     }
@@ -244,30 +306,35 @@ Status ReplayWal(const std::string& path, uint64_t snapshot_version,
       torn = true;
       break;
     }
+    // From here on the frame is exactly what a writer appended: failing to
+    // read it is corruption or a format this build does not read, never a
+    // torn write, so it is refused and nothing is truncated.
+    const std::string where =
+        "WAL " + path + ": record at byte offset " + std::to_string(pos);
     ByteReader r(payload, len);
     uint8_t type = 0;
-    if (!r.U8(&type).ok()) {
-      torn = true;
-      break;
-    }
+    DV_RETURN_IF_ERROR(r.U8(&type));
     if (type == kRecordCommit) {
       WalCommitRecord rec;
-      if (!DecodeCommitPayload(&r, &rec).ok()) {
-        torn = true;
-        break;
+      Status decoded = DecodeCommitPayload(&r, &rec);
+      if (!decoded.ok()) {
+        return Status::DataLoss(where + " does not decode: " +
+                                decoded.message());
       }
-      if (rec.version <= snapshot_version) {
+      if (rec.change.version <= snapshot_version) {
         if (stats != nullptr) ++stats->skipped_records;
       } else {
         if (stats != nullptr) ++stats->commit_records;
-        if (on_commit) DV_RETURN_IF_ERROR(on_commit(std::move(rec)));
+        if (on_commit) {
+          Status st = on_commit(std::move(rec));
+          if (!st.ok()) return Status(st.code(), where + ": " + st.message());
+        }
       }
     } else if (type == kRecordBlob) {
       WalBlobRecord rec;
       if (!r.U64(&rec.version).ok() || !r.Str(&rec.kind).ok() ||
           !r.Str(&rec.payload).ok()) {
-        torn = true;
-        break;
+        return Status::DataLoss(where + ": blob record does not decode");
       }
       // Blobs use >=, not >: a blob appended right after a checkpoint at
       // version V (no commit in between) is stamped V but is NOT in that
@@ -281,8 +348,11 @@ Status ReplayWal(const std::string& path, uint64_t snapshot_version,
         DV_RETURN_IF_ERROR(on_blob(std::move(rec)));
       }
     } else {
-      torn = true;
-      break;
+      return Status::DataLoss(where + " has unknown record type " +
+                              std::to_string(type) +
+                              (type == 1 ? " (the retired whole-database "
+                                           "commit format)"
+                                         : ""));
     }
     pos += 8 + len;
   }

@@ -18,14 +18,26 @@ namespace dynview {
 /// Record framing: u32 payload_len | u32 crc32(payload) | payload, appended
 /// back to back. Payloads (storage/codec.h primitives):
 ///
-///   commit (u8 1): u64 catalog_version | str tag | u32 put_count
-///                  | per put: database payload (codec) prefixed by u64
-///                    database version | u32 drop_count | per drop: str key
+///   commit (u8 3): u64 catalog_version | str tag | string dictionary
+///                  | u32 database_count | per database: str name
+///                    | u8 kind (0 modify, 1 create, 2 drop)
+///                    | u32 table_change_count | per table change:
+///                      u8 kind | str relation name | then
+///                        put (1):    table payload (schema + rows)
+///                        append (2): u64 base_rows | u32 column_count | rows
+///                        drop (3):   nothing
 ///   blob   (u8 2): u64 catalog_version_at_append | str kind | str payload
 ///
-/// Commit records mirror one CatalogTxn commit (the touched databases in
-/// full — deltas here are per-database, not per-row, matching the catalog's
-/// copy-on-write granularity). Blob records carry opaque integration state
+/// A commit record is the CatalogChange that Catalog::Mutate derived for
+/// the commit: per touched database, only the tables it changed — an append
+/// logs just the new rows and the row count it extends, anything else the
+/// whole table, a drop only the name. A touched database whose tables did
+/// not change is listed with no table changes so replay still bumps its
+/// version. Strings of all cells share the record's one dictionary. Record
+/// type 1 (a retired format that logged touched databases in full) is not
+/// read: replay refuses it like any unknown type.
+///
+/// Blob records carry opaque integration state
 /// (view/index registrations) stamped with the catalog version current when
 /// appended; replay applies a blob iff its stamp is at least the snapshot
 /// version being recovered from (a blob cannot ride the WAL past the
@@ -58,9 +70,8 @@ class WalWriter final : public CatalogCommitSink {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// CatalogCommitSink: appends a commit record for the touched databases.
-  Status OnCommit(const CatalogSnapshot& next,
-                  const std::vector<std::string>& touched,
+  /// CatalogCommitSink: appends the commit's change as one record.
+  Status OnCommit(const CatalogChange& change,
                   const std::string& tag) override;
 
   Status AppendBlob(const std::string& kind, const std::string& payload,
@@ -89,10 +100,8 @@ class WalWriter final : public CatalogCommitSink {
 };
 
 struct WalCommitRecord {
-  uint64_t version = 0;
   std::string tag;
-  std::vector<RecoveredDatabase> puts;
-  std::vector<std::string> drops;
+  CatalogChange change;  // change.version is the commit's version.
 };
 
 struct WalBlobRecord {
@@ -112,10 +121,14 @@ struct WalReplayStats {
 
 /// Replays `path` in append order. Records with version <= snapshot_version
 /// are counted as skipped (the snapshot already covers them). The first
-/// frame that is short, fails its CRC, or fails to decode marks a torn
-/// tail: the file is truncated back to the last good record and replay
-/// stops with OK — a partial tail is an expected crash artifact, never an
-/// error. Errors returned by the callbacks abort the replay and propagate.
+/// frame that is short, empty, or fails its CRC marks a torn tail: the file
+/// is truncated back to the last good record and replay stops with OK — a
+/// partial tail is an expected crash artifact, never an error. A frame
+/// whose CRC matches but which does not decode (an unknown record type, a
+/// retired format, a corrupt count) cannot come from a torn write: replay
+/// returns DataLoss naming its byte offset and leaves the file untouched.
+/// Errors returned by the callbacks abort the replay and propagate (a
+/// commit callback's error prefixed with the record's byte offset).
 Status ReplayWal(const std::string& path, uint64_t snapshot_version,
                  const std::function<Status(WalCommitRecord&&)>& on_commit,
                  const std::function<Status(WalBlobRecord&&)>& on_blob,
