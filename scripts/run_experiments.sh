@@ -435,6 +435,10 @@ env -u DYNVIEW_FUZZ_ITERS -u DYNVIEW_FUZZ_SEED -u DYNVIEW_FUZZ_REPRO \
 # suite (shedding, disconnects, frame chaos included) must hold race-free.
 ctest --test-dir build-tsan-chaos --output-on-failure -L server 2>&1 |
   tee results/tests_server_tsan.txt
+# Nested parallel regions borrow idle pool workers from inside requests
+# and fan-outs: the pool's own suite must hold race-free too.
+ctest --test-dir build-tsan-chaos --output-on-failure -L parallel 2>&1 |
+  tee results/tests_parallel_tsan.txt
 
 # Fault-injected pass: run the engine/integration-facing suites with a
 # latency failpoint armed on every catalog resolution, proving injection is

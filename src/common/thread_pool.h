@@ -13,14 +13,15 @@
 namespace dynview {
 
 /// A fixed-size worker pool shared by the execution engine (grounding
-/// fan-out, morsel-driven operators, view partition materialisation).
+/// fan-out, morsel-driven operators, view partition materialisation) and the
+/// query server (requests, reply encoding).
 ///
 /// The pool deliberately has no notion of task priorities or futures: the
 /// engine's parallelism is fork/join-shaped, so `ParallelFor` — in which the
-/// calling thread participates and which degrades to an inline serial loop
-/// when nested — covers every use. Caller participation makes the pool
-/// deadlock-free under nesting: even if every worker is busy, the caller
-/// drains its own iteration space.
+/// calling thread participates and which borrows only the workers idle at
+/// that moment — covers every use, nested or not. Caller participation makes
+/// the pool deadlock-free under nesting: even if every worker is busy, the
+/// caller drains its own iteration space.
 class ThreadPool {
  public:
   /// Spawns `num_workers` worker threads (0 is valid: every ParallelFor then
@@ -40,15 +41,8 @@ class ThreadPool {
   void Submit(std::function<void()> fn);
 
   /// Enqueues `fn` unless the queue already holds `max_queued` pending
-  /// tasks; returns false (dropping `fn`) when full. ParallelFor submits
-  /// its helpers through this, so a fan-out can never enqueue unbounded
-  /// work: refused helpers just mean fewer threads drain the iteration
-  /// space, never lost iterations.
+  /// tasks; returns false (dropping `fn`) when full.
   bool TrySubmit(std::function<void()> fn);
-
-  /// True when the calling thread is a worker of any ThreadPool. Used to run
-  /// nested parallel regions inline instead of flooding the queue.
-  static bool OnWorkerThread();
 
   /// Instantaneous pending-task count (tasks queued, not yet claimed by a
   /// worker). Advisory by nature — the depth can change before the caller
@@ -64,8 +58,11 @@ class ThreadPool {
   /// returns when all iterations finished. Iterations are claimed from a
   /// shared counter, so completion order is nondeterministic — callers that
   /// need deterministic output write into index `i` of a pre-sized buffer
-  /// and merge in index order afterwards. Runs inline when the pool has no
-  /// workers, `n == 1`, or the caller is itself a pool worker.
+  /// and merge in index order afterwards. Helpers are queued for at most
+  /// as many workers as are idle at the call (waiting on the queue with
+  /// nothing pending ahead of them), within the `max_queued` cap; with none
+  /// idle — no workers, `n == 1`, or every worker busy, as under a full
+  /// server — the loop runs inline on the caller.
   ///
   /// When `cancel` is non-null and becomes true, iterations claimed
   /// afterwards are skipped (counted complete without running `fn`), so a
@@ -82,6 +79,7 @@ class ThreadPool {
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   bool stop_ = false;
+  size_t idle_ = 0;  // Waiting workers + helpers done with their share.
   size_t max_queued_ = 0;
   std::vector<std::thread> workers_;
 };

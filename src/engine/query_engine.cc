@@ -854,7 +854,7 @@ Result<Table> QueryEngine::EvaluateFirstOrder(const SelectStmt& stmt,
                                               const SnapshotRef& snap) {
   (void)bq;  // Binding annotations live in the AST; kept for symmetry.
   // May run on a pool worker (one grounding of a parallel fan-out); nested
-  // parallel regions then degrade to inline loops inside ParallelFor.
+  // parallel regions then borrow only the workers idle at that moment.
   const ExecContext ctx = Ctx(qc, snap);
   std::vector<const Expr*> conjuncts;
   SplitConjuncts(stmt.where.get(), &conjuncts);

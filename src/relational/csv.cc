@@ -1,6 +1,7 @@
 #include "relational/csv.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,17 +16,22 @@ bool NeedsQuoting(const std::string& s) {
   return s.find_first_of(",\"\n\r") != std::string::npos || s.empty();
 }
 
-void AppendField(std::string* out, const std::string& field) {
-  if (!NeedsQuoting(field)) {
-    *out += field;
-    return;
-  }
+/// The one quoting rule: `s` in double quotes, each quote inside doubled.
+void AppendQuoted(std::string* out, const std::string& s) {
   *out += '"';
-  for (char c : field) {
+  for (char c : s) {
     if (c == '"') *out += '"';
     *out += c;
   }
   *out += '"';
+}
+
+void AppendField(std::string* out, const std::string& field) {
+  if (NeedsQuoting(field)) {
+    AppendQuoted(out, field);
+  } else {
+    *out += field;
+  }
 }
 
 std::string FieldOf(const Value& v) {
@@ -36,6 +42,48 @@ std::string FieldOf(const Value& v) {
       return v.as_string();
     default:
       return v.ToLabel();
+  }
+}
+
+/// The typed-CSV cell rules, the only copy: NULL is an empty unquoted
+/// field; strings are always quoted (under a declared STRING column quoting
+/// is not needed to disambiguate, but mixed/inferred columns read back
+/// "1997-01-01" as a DATE unless the quotes say otherwise); doubles use
+/// round-trip precision; INT and DATE are written without temporaries.
+void AppendTypedCell(std::string* out, const Value& v) {
+  char buf[24];
+  switch (v.kind()) {
+    case TypeKind::kNull:
+      return;
+    case TypeKind::kString:
+      AppendQuoted(out, v.as_string());
+      return;
+    case TypeKind::kInt:
+      out->append(buf, std::to_chars(buf, buf + sizeof(buf), v.as_int()).ptr);
+      return;
+    case TypeKind::kDate: {
+      int y, m, d;
+      v.as_date().ToYmd(&y, &m, &d);
+      if (y < 0 || y > 9999) {
+        *out += v.as_date().ToString();
+        return;
+      }
+      // Date::ToString's fixed-width YYYY-MM-DD.
+      const int digits[] = {y / 1000, y / 100 % 10, y / 10 % 10, y % 10,
+                            m / 10,   m % 10,       d / 10,      d % 10};
+      char ymd[] = "0000-00-00";
+      for (int i = 0, j = 0; i < 10; ++i) {
+        if (ymd[i] != '-') ymd[i] = static_cast<char>('0' + digits[j++]);
+      }
+      out->append(ymd, 10);
+      return;
+    }
+    case TypeKind::kDouble:
+      *out += RoundTripDouble(v.as_double());
+      return;
+    case TypeKind::kBool:
+      *out += v.as_bool() ? "TRUE" : "FALSE";
+      return;
   }
 }
 
@@ -167,63 +215,35 @@ Result<Value> ParseTypedField(const std::string& field, bool was_quoted,
   return Status::ParseError("unknown column type");
 }
 
-}  // namespace
-
-std::string TableToCsvTyped(const Table& table) {
-  std::string out;
-  const Schema& schema = table.schema();
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    if (c > 0) out += ',';
-    AppendField(&out, schema.column(c).name);
-  }
-  out += '\n';
-  for (const Row& r : table.rows()) {
-    for (size_t c = 0; c < r.size(); ++c) {
-      if (c > 0) out += ',';
-      if (r[c].is_null()) continue;  // Empty unquoted field.
-      if (r[c].kind() == TypeKind::kDouble) {
-        AppendField(&out, RoundTripDouble(r[c].as_double()));
-      } else if (r[c].kind() == TypeKind::kString) {
-        // Strings always quoted: under a declared STRING column quoting is
-        // not needed to disambiguate, but mixed/inferred columns read back
-        // "1997-01-01" as a DATE unless the quotes say otherwise.
-        const std::string& field = r[c].as_string();
-        out += '"';
-        for (char ch : field) {
-          if (ch == '"') out += '"';
-          out += ch;
-        }
-        out += '"';
-      } else {
-        AppendField(&out, FieldOf(r[c]));
-      }
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-Result<Table> TableFromCsvTyped(const std::string& csv,
-                                const std::vector<TypeKind>& column_types) {
+/// Parses CSV text whose first record is the header. Column c parses as
+/// `(*types)[c]` (whose size must match the header), or every column as
+/// `untyped` when `types` is null. A bare empty line is skipped, except
+/// under one declared column, where it is a NULL row.
+Result<Table> ParseTable(const std::string& csv,
+                         const std::vector<TypeKind>* types,
+                         TypeKind untyped) {
   size_t pos = 0;
   std::vector<std::string> fields;
   std::vector<bool> quoted;
   DV_ASSIGN_OR_RETURN(bool has_header,
                       ParseRecord(csv, &pos, &fields, &quoted));
   if (!has_header) return Status::ParseError("empty CSV input");
-  if (fields.size() != column_types.size()) {
-    return Status::ParseError(
-        "CSV header arity " + std::to_string(fields.size()) +
-        " does not match declared column types (" +
-        std::to_string(column_types.size()) + ")");
-  }
-  Table table(Schema::FromNames(fields));
   const size_t arity = fields.size();
+  if (types != nullptr && arity != types->size()) {
+    return Status::ParseError(
+        "CSV header arity " + std::to_string(arity) +
+        " does not match declared column types (" +
+        std::to_string(types->size()) + ")");
+  }
+  const std::vector<TypeKind> kinds =
+      types != nullptr ? *types : std::vector<TypeKind>(arity, untyped);
+  Table table(Schema::FromNames(fields));
   while (true) {
     DV_ASSIGN_OR_RETURN(bool more, ParseRecord(csv, &pos, &fields, &quoted));
     if (!more) break;
-    if (arity > 1 && fields.size() == 1 && fields[0].empty() && !quoted[0]) {
-      continue;  // Blank line. In single-column mode it IS a NULL row.
+    if ((types == nullptr || arity > 1) && fields.size() == 1 &&
+        fields[0].empty() && !quoted[0]) {
+      continue;  // Blank line.
     }
     if (fields.size() != arity) {
       return Status::ParseError("CSV row arity " +
@@ -234,13 +254,71 @@ Result<Table> TableFromCsvTyped(const std::string& csv,
     Row row;
     row.reserve(arity);
     for (size_t c = 0; c < arity; ++c) {
-      DV_ASSIGN_OR_RETURN(
-          Value v, ParseTypedField(fields[c], quoted[c], column_types[c], c));
+      DV_ASSIGN_OR_RETURN(Value v,
+                          ParseTypedField(fields[c], quoted[c], kinds[c], c));
       row.push_back(std::move(v));
     }
     table.AppendRowUnchecked(std::move(row));
   }
   return table;
+}
+
+Status WriteTextFile(const std::string& text, const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return Status::InvalidArgument("cannot open '" + path +
+                                   "': " + std::strerror(errno));
+  }
+  size_t written = std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
+  if (written != text.size()) {
+    return Status::Internal("short write to '" + path + "'");
+  }
+  return Status::OK();
+}
+
+Result<std::string> ReadTextFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  if (f == nullptr) {
+    return Status::NotFound("cannot open '" + path +
+                            "': " + std::strerror(errno));
+  }
+  std::string text;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  std::fclose(f);
+  return text;
+}
+
+}  // namespace
+
+void AppendCsvHeader(const Schema& schema, std::string* out) {
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    if (c > 0) *out += ',';
+    AppendField(out, schema.column(c).name);
+  }
+  *out += '\n';
+}
+
+void AppendTypedCsvRow(const Row& row, std::string* out) {
+  for (size_t c = 0; c < row.size(); ++c) {
+    if (c > 0) *out += ',';
+    AppendTypedCell(out, row[c]);
+  }
+  *out += '\n';
+}
+
+std::string TableToCsvTyped(const Table& table) {
+  std::string out;
+  AppendCsvHeader(table.schema(), &out);
+  for (const Row& r : table.rows()) AppendTypedCsvRow(r, &out);
+  return out;
+}
+
+Result<Table> TableFromCsvTyped(const std::string& csv,
+                                const std::vector<TypeKind>& column_types) {
+  return ParseTable(csv, &column_types, TypeKind::kNull);
 }
 
 std::vector<TypeKind> ColumnKindsOf(const Table& table) {
@@ -262,12 +340,7 @@ std::vector<TypeKind> ColumnKindsOf(const Table& table) {
 
 std::string TableToCsv(const Table& table) {
   std::string out;
-  const Schema& schema = table.schema();
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    if (c > 0) out += ',';
-    AppendField(&out, schema.column(c).name);
-  }
-  out += '\n';
+  AppendCsvHeader(table.schema(), &out);
   for (const Row& r : table.rows()) {
     for (size_t c = 0; c < r.size(); ++c) {
       if (c > 0) out += ',';
@@ -276,12 +349,7 @@ std::string TableToCsv(const Table& table) {
       std::string field = FieldOf(r[c]);
       if (r[c].kind() == TypeKind::kString &&
           (!InferValue(field, false).GroupEquals(r[c]) || field.empty())) {
-        *(&out) += '"';
-        for (char ch : field) {
-          if (ch == '"') out += '"';
-          out += ch;
-        }
-        out += '"';
+        AppendQuoted(&out, field);
       } else {
         AppendField(&out, field);
       }
@@ -292,101 +360,26 @@ std::string TableToCsv(const Table& table) {
 }
 
 Result<Table> TableFromCsv(const std::string& csv, bool infer_types) {
-  size_t pos = 0;
-  std::vector<std::string> fields;
-  std::vector<bool> quoted;
-  DV_ASSIGN_OR_RETURN(bool has_header, ParseRecord(csv, &pos, &fields, &quoted));
-  if (!has_header) return Status::ParseError("empty CSV input");
-  Table table(Schema::FromNames(fields));
-  const size_t arity = fields.size();
-  while (true) {
-    DV_ASSIGN_OR_RETURN(bool more, ParseRecord(csv, &pos, &fields, &quoted));
-    if (!more) break;
-    if (fields.size() == 1 && fields[0].empty() && !quoted[0]) {
-      continue;  // Blank line.
-    }
-    if (fields.size() != arity) {
-      return Status::ParseError("CSV row arity " +
-                                std::to_string(fields.size()) +
-                                " does not match header " +
-                                std::to_string(arity));
-    }
-    Row row;
-    row.reserve(arity);
-    for (size_t c = 0; c < arity; ++c) {
-      if (infer_types) {
-        row.push_back(InferValue(fields[c], quoted[c]));
-      } else if (fields[c].empty() && !quoted[c]) {
-        row.push_back(Value::Null());
-      } else {
-        row.push_back(Value::String(fields[c]));
-      }
-    }
-    table.AppendRowUnchecked(std::move(row));
-  }
-  return table;
+  return ParseTable(csv, nullptr,
+                    infer_types ? TypeKind::kNull : TypeKind::kString);
 }
 
 Status WriteCsvFile(const Table& table, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot open '" + path +
-                                   "': " + std::strerror(errno));
-  }
-  std::string csv = TableToCsv(table);
-  size_t written = std::fwrite(csv.data(), 1, csv.size(), f);
-  std::fclose(f);
-  if (written != csv.size()) {
-    return Status::Internal("short write to '" + path + "'");
-  }
-  return Status::OK();
+  return WriteTextFile(TableToCsv(table), path);
 }
 
 Result<Table> ReadCsvFile(const std::string& path, bool infer_types) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open '" + path +
-                            "': " + std::strerror(errno));
-  }
-  std::string csv;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    csv.append(buf, n);
-  }
-  std::fclose(f);
+  DV_ASSIGN_OR_RETURN(std::string csv, ReadTextFile(path));
   return TableFromCsv(csv, infer_types);
 }
 
 Status WriteCsvFileTyped(const Table& table, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot open '" + path +
-                                   "': " + std::strerror(errno));
-  }
-  std::string csv = TableToCsvTyped(table);
-  size_t written = std::fwrite(csv.data(), 1, csv.size(), f);
-  std::fclose(f);
-  if (written != csv.size()) {
-    return Status::Internal("short write to '" + path + "'");
-  }
-  return Status::OK();
+  return WriteTextFile(TableToCsvTyped(table), path);
 }
 
 Result<Table> ReadCsvFileTyped(const std::string& path,
                                const std::vector<TypeKind>& column_types) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open '" + path +
-                            "': " + std::strerror(errno));
-  }
-  std::string csv;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    csv.append(buf, n);
-  }
-  std::fclose(f);
+  DV_ASSIGN_OR_RETURN(std::string csv, ReadTextFile(path));
   return TableFromCsvTyped(csv, column_types);
 }
 

@@ -38,6 +38,11 @@ Result<Table> ReadCsvFile(const std::string& path, bool infer_types);
 
 std::string TableToCsvTyped(const Table& table);
 
+/// The lines TableToCsvTyped is made of, each ending in '\n': the header
+/// (column names, quoted only when needed) and one row.
+void AppendCsvHeader(const Schema& schema, std::string* out);
+void AppendTypedCsvRow(const Row& row, std::string* out);
+
 /// `column_types` must match the header arity; type mismatches in the data
 /// (e.g. "abc" under INT) are ParseErrors.
 Result<Table> TableFromCsvTyped(const std::string& csv,

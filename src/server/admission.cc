@@ -94,18 +94,20 @@ void AdmissionController::OnComplete(Lane lane, uint64_t session) {
   DispatchLocked();
 }
 
+bool AdmissionController::PopNextLocked(Pending* p) {
+  // Cheap lane overtakes: diagnostics never convoy.
+  std::deque<Pending>* q = !cheap_.empty()   ? &cheap_
+                           : !heavy_.empty() ? &heavy_
+                                             : nullptr;
+  if (q == nullptr) return false;
+  *p = std::move(q->front());
+  q->pop_front();
+  return true;
+}
+
 void AdmissionController::DispatchLocked() {
-  while (running_ < max_concurrent_) {
-    std::deque<Pending>* q = nullptr;
-    if (!cheap_.empty()) {
-      q = &cheap_;  // Cheap lane overtakes: diagnostics never convoy.
-    } else if (!heavy_.empty()) {
-      q = &heavy_;
-    } else {
-      return;
-    }
-    Pending p = std::move(q->front());
-    q->pop_front();
+  Pending p{Lane::kCheap, 0, nullptr};
+  while (running_ < max_concurrent_ && PopNextLocked(&p)) {
     if (pool_->TrySubmit(p.task)) {
       ++running_;
       continue;
@@ -119,7 +121,7 @@ void AdmissionController::DispatchLocked() {
     }
     // Pool saturated but our own work is still draining; put it back and
     // let the next completion retry.
-    q->push_front(std::move(p));
+    (p.lane == Lane::kCheap ? cheap_ : heavy_).push_front(std::move(p));
     return;
   }
 }
@@ -129,15 +131,7 @@ void AdmissionController::Shutdown() {
     Pending p{Lane::kCheap, 0, nullptr};
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (!cheap_.empty()) {
-        p = std::move(cheap_.front());
-        cheap_.pop_front();
-      } else if (!heavy_.empty()) {
-        p = std::move(heavy_.front());
-        heavy_.pop_front();
-      } else {
-        return;
-      }
+      if (!PopNextLocked(&p)) return;
       // Account it as running so the task's own OnComplete balances.
       ++running_;
     }

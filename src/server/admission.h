@@ -108,6 +108,9 @@ class AdmissionController {
   /// ordering cycle). On pool refusal with other tasks still running, the
   /// request is requeued at the front — a completion will retry.
   void DispatchLocked();
+  /// Pops the best queued request (cheap lane first) into `p`; false when
+  /// both queues are empty. Call with `mu_` held.
+  bool PopNextLocked(Pending* p);
 
   ThreadPool* pool_;
   const size_t max_concurrent_;

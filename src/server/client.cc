@@ -236,7 +236,9 @@ Status ServerClient::HandleReplyFrame(const std::string& payload) {
   if (type == "chunk") {
     ClientReply& partial = pending_[id];
     partial.id = id;
-    partial.csv += doc.GetString("csv");
+    // Appended from the parsed frame in place (GetString would copy it).
+    const JsonValue* csv = doc.Find("csv");
+    if (csv != nullptr) partial.csv += csv->s;
     ++partial.chunks;
     return Status::OK();
   }

@@ -1,8 +1,11 @@
 #include "server/protocol.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <string_view>
 
 #include "common/date.h"
+#include "relational/csv.h"
 
 namespace dynview {
 
@@ -22,15 +25,11 @@ const char* VerbName(Verb verb) {
 }
 
 Result<Verb> ParseVerb(const std::string& name) {
-  if (name == "hello") return Verb::kHello;
-  if (name == "query") return Verb::kQuery;
-  if (name == "execute") return Verb::kExecute;
-  if (name == "explain") return Verb::kExplain;
-  if (name == "lint") return Verb::kLint;
-  if (name == "audit") return Verb::kAudit;
-  if (name == "prepare") return Verb::kPrepare;
-  if (name == "stats") return Verb::kStats;
-  if (name == "ping") return Verb::kPing;
+  for (Verb v : {Verb::kHello, Verb::kQuery, Verb::kExecute, Verb::kExplain,
+                 Verb::kLint, Verb::kAudit, Verb::kPrepare, Verb::kStats,
+                 Verb::kPing}) {
+    if (name == VerbName(v)) return v;
+  }
   return Status::InvalidArgument("unknown verb \"" + name + "\"");
 }
 
@@ -126,15 +125,91 @@ std::string EncodeHelloReply(const HelloReply& reply) {
   return w.Take();
 }
 
-std::string EncodeChunk(uint64_t id, uint64_t seq, const std::string& csv) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("id").UInt(id);
-  w.Key("type").String("chunk");
-  w.Key("seq").UInt(seq);
-  w.Key("csv").String(csv);
-  w.EndObject();
-  return w.Take();
+namespace {
+
+/// Encodes reply lines [first, last) of `table` (line 0 is the CSV header,
+/// line i > 0 is row i - 1) as chunk frames numbered from `seq`: at most
+/// `chunk_rows` lines and `max_frame_bytes` of payload per frame.
+Status EncodeChunkRange(uint64_t id, const Table& table, size_t first,
+                        size_t last, size_t chunk_rows, size_t max_frame_bytes,
+                        uint64_t seq, std::vector<std::string>* frames) {
+  constexpr std::string_view kClose = "\"}";
+  std::string frame, csv;  // csv: one line, escaped as it is appended.
+  size_t lines = 0;
+  for (size_t line = first; line < last;) {
+    if (lines == 0) {
+      frame.assign(kFrameHeaderBytes, '\0');
+      frame += "{\"id\":" + std::to_string(id) +
+               ",\"type\":\"chunk\",\"seq\":" + std::to_string(seq++) +
+               ",\"csv\":\"";
+    }
+    csv.clear();
+    if (line == 0) {
+      AppendCsvHeader(table.schema(), &csv);
+    } else {
+      AppendTypedCsvRow(table.row(line - 1), &csv);
+    }
+    const size_t before = frame.size();
+    JsonEscapeTo(frame, csv);
+    const bool fits = frame.size() - kFrameHeaderBytes + kClose.size() <=
+                      max_frame_bytes;
+    if (!fits && lines == 0) {
+      return Status::ResourceExhausted(
+          (line == 0 ? std::string("the reply header")
+                     : "reply row " + std::to_string(line - 1)) +
+          " encodes to " + std::to_string(frame.size() - before) +
+          " bytes, more than one chunk frame of max_frame_bytes " +
+          std::to_string(max_frame_bytes) + " holds");
+    }
+    if (fits) {
+      ++line;
+      ++lines;
+    } else {
+      frame.resize(before);  // The line opens the next frame instead.
+    }
+    if (!fits || lines == chunk_rows || line == last) {
+      frame += kClose;
+      PatchFrameHeader(&frame);
+      frames->push_back(std::move(frame));
+      lines = 0;
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::vector<std::string>> EncodeChunkFrames(uint64_t id,
+                                                   const Table& table,
+                                                   size_t chunk_rows,
+                                                   size_t max_frame_bytes,
+                                                   ThreadPool* pool) {
+  const size_t per = std::max<size_t>(chunk_rows, 1);
+  const size_t lines = table.num_rows() + 1;
+  const size_t parts = (lines + per - 1) / per;
+  std::vector<std::vector<std::string>> slots(parts);
+  std::vector<Status> status(parts);
+  auto encode = [&](size_t p) {
+    status[p] = EncodeChunkRange(id, table, p * per,
+                                 std::min(lines, (p + 1) * per), per,
+                                 max_frame_bytes, p, &slots[p]);
+  };
+  pool->ParallelFor(parts, encode);
+  std::vector<std::string> frames;
+  frames.reserve(parts);
+  for (size_t p = 0; p < parts; ++p) {
+    DV_RETURN_IF_ERROR(status[p]);
+    if (slots[p].size() != 1) {
+      // The frame cap split this part, so every later seq shifts: encode
+      // the whole reply again in one pass.
+      frames.clear();
+      DV_RETURN_IF_ERROR(EncodeChunkRange(id, table, 0, lines, per,
+                                          max_frame_bytes, 0, &frames));
+      return frames;
+    }
+    frames.push_back(std::move(slots[p][0]));
+  }
+  return frames;
 }
 
 std::string EncodeDone(const DoneReply& reply) {
@@ -210,13 +285,9 @@ void EncodeWireValue(JsonWriter& w, const Value& v) {
     case TypeKind::kBool:
       w.Key("v").String(v.as_bool() ? "true" : "false");
       break;
-    case TypeKind::kInt: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%lld",
-                    static_cast<long long>(v.as_int()));
-      w.Key("v").String(buf);
+    case TypeKind::kInt:
+      w.Key("v").String(std::to_string(v.as_int()));
       break;
-    }
     case TypeKind::kDouble: {
       char buf[40];
       std::snprintf(buf, sizeof(buf), "%.17g", v.as_double());

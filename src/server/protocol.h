@@ -8,6 +8,8 @@
 
 #include "common/query_context.h"
 #include "common/result.h"
+#include "common/thread_pool.h"
+#include "relational/table.h"
 #include "relational/value.h"
 #include "server/wire.h"
 
@@ -92,7 +94,18 @@ struct HelloReply {
 
 std::string EncodeHelloReply(const HelloReply& reply);
 
-std::string EncodeChunk(uint64_t id, uint64_t seq, const std::string& csv);
+/// The chunk frames of a reply carrying `table`, each a whole frame (length
+/// header, then `{"id":…,"type":"chunk","seq":…,"csv":"…"}`) written
+/// straight from the rows. The typed CSV (TableToCsvTyped) is cut at row
+/// boundaries: the header line rides in chunk 0, and a chunk holds at most
+/// `chunk_rows` lines and `max_frame_bytes` of payload. Runs of `chunk_rows`
+/// lines are encoded in parallel on `pool`'s idle workers. A line too large
+/// for one frame is kResourceExhausted, naming its size.
+Result<std::vector<std::string>> EncodeChunkFrames(uint64_t id,
+                                                   const Table& table,
+                                                   size_t chunk_rows,
+                                                   size_t max_frame_bytes,
+                                                   ThreadPool* pool);
 
 /// Everything the terminal success frame reports about a request.
 struct DoneReply {

@@ -86,9 +86,8 @@ QueryServer::QueryServer(IntegrationSystem* system, ServerOptions options)
   pool_ = system_->engine()->EnsurePool();
   if (pool_ == nullptr) {
     // Serial engine: the server still needs workers to keep the reactor
-    // non-blocking. Requests on this private pool run their queries inline
-    // (nested ParallelFor on a worker degrades to serial), preserving the
-    // engine's serial semantics.
+    // non-blocking. The engine has no pool, so queries stay serial; only
+    // reply encoding borrows this pool's idle workers.
     size_t workers =
         options_.fallback_workers > 0 ? options_.fallback_workers : 4;
     own_pool_ = std::make_unique<ThreadPool>(
@@ -345,9 +344,7 @@ void QueryServer::ReadReady(const std::shared_ptr<Connection>& conn) {
         // Oversized frame declaration: the stream is unrecoverable (the
         // length itself is poisoned). Tell the client why, then drop.
         stats_.oversized_frames.fetch_add(1, std::memory_order_relaxed);
-        ErrorReply err;
-        err.status = fed;
-        SendError(conn, err);
+        SendError(conn, ErrorReply{.status = fed});
         conn->close_after_flush = true;
         return;
       }
@@ -446,22 +443,25 @@ void QueryServer::CloseConnection(const std::shared_ptr<Connection>& conn,
 // --- Frames and requests ---------------------------------------------------
 
 void QueryServer::SendFrames(const std::shared_ptr<Connection>& conn,
-                             std::vector<std::string> payloads) {
+                             std::vector<std::string> frames) {
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     if (conn->closed) return;  // Disconnected mid-query: drop the result.
-    for (std::string& p : payloads) {
-      conn->outbox.push_back(EncodeFrame(p));
-    }
+    for (std::string& f : frames) conn->outbox.push_back(std::move(f));
   }
   WakeReactor();
 }
 
+void QueryServer::Send(const std::shared_ptr<Connection>& conn,
+                       const std::string& payload) {
+  std::vector<std::string> frames;
+  frames.push_back(EncodeFrame(payload));
+  SendFrames(conn, std::move(frames));
+}
+
 void QueryServer::SendError(const std::shared_ptr<Connection>& conn,
                             const ErrorReply& error) {
-  std::vector<std::string> frames;
-  frames.push_back(EncodeError(error));
-  SendFrames(conn, std::move(frames));
+  Send(conn, EncodeError(error));
 }
 
 void QueryServer::HandleFrame(const std::shared_ptr<Connection>& conn,
@@ -471,9 +471,7 @@ void QueryServer::HandleFrame(const std::shared_ptr<Connection>& conn,
     // Garbage inside a well-framed payload: answer, then drop the
     // connection — a peer that can't form JSON can't be trusted to frame.
     stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
-    ErrorReply err;
-    err.status = doc.status();
-    SendError(conn, err);
+    SendError(conn, ErrorReply{.status = doc.status()});
     conn->close_after_flush = true;
     return;
   }
@@ -482,21 +480,20 @@ void QueryServer::HandleFrame(const std::shared_ptr<Connection>& conn,
     // Well-formed JSON, malformed request: a request-level error; the
     // connection survives.
     stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
-    ErrorReply err;
-    err.id = static_cast<uint64_t>(doc.value().GetInt("id", 0));
-    err.status = parsed.status();
-    SendError(conn, err);
+    SendError(conn,
+              ErrorReply{.id = static_cast<uint64_t>(
+                             doc.value().GetInt("id", 0)),
+                         .status = parsed.status()});
     return;
   }
   Request req = std::move(parsed).value();
 
   if (!conn->handshaken) {
     if (req.verb != Verb::kHello) {
-      ErrorReply err;
-      err.id = req.id;
-      err.status = Status::InvalidArgument(
-          "handshake required: first frame must be verb \"hello\"");
-      SendError(conn, err);
+      SendError(conn, ErrorReply{.id = req.id,
+                                 .status = Status::InvalidArgument(
+                                     "handshake required: first frame must "
+                                     "be verb \"hello\"")});
       conn->close_after_flush = true;
       return;
     }
@@ -504,32 +501,22 @@ void QueryServer::HandleFrame(const std::shared_ptr<Connection>& conn,
     return;
   }
   if (req.verb == Verb::kHello) {
-    ErrorReply err;
-    err.id = req.id;
-    err.status = Status::AlreadyExists("session already handshaken");
-    SendError(conn, err);
+    SendError(conn, ErrorReply{.id = req.id,
+                               .status = Status::AlreadyExists(
+                                   "session already handshaken")});
     return;
   }
 
   stats_.requests.fetch_add(1, std::memory_order_relaxed);
   switch (req.verb) {
-    case Verb::kPing: {
-      DoneReply done;
-      done.id = req.id;
-      std::vector<std::string> frames;
-      frames.push_back(EncodeDone(done));
-      SendFrames(conn, std::move(frames));
-      return;
-    }
+    case Verb::kPing:
     case Verb::kStats: {
       // Served inline on the reactor: diagnostics stay responsive even
       // when the admission queues are at capacity.
       DoneReply done;
       done.id = req.id;
-      done.stats = MetricsSnapshot();
-      std::vector<std::string> frames;
-      frames.push_back(EncodeDone(done));
-      SendFrames(conn, std::move(frames));
+      if (req.verb == Verb::kStats) done.stats = MetricsSnapshot();
+      Send(conn, EncodeDone(done));
       return;
     }
     default:
@@ -549,9 +536,7 @@ void QueryServer::HandleHello(const std::shared_ptr<Connection>& conn,
   reply.max_inflight = options_.admission.max_inflight_per_session;
   reply.server = "dynview-server/1";
   (void)req;
-  std::vector<std::string> frames;
-  frames.push_back(EncodeHelloReply(reply));
-  SendFrames(conn, std::move(frames));
+  Send(conn, EncodeHelloReply(reply));
 }
 
 void QueryServer::AdmitRequest(const std::shared_ptr<Connection>& conn,
@@ -632,40 +617,6 @@ void QueryServer::AdmitRequest(const std::shared_ptr<Connection>& conn,
   SendError(conn, err);
 }
 
-std::vector<std::string> QueryServer::ChunkTable(uint64_t id,
-                                                 const Table& table,
-                                                 DoneReply* done) const {
-  done->rows = table.num_rows();
-  for (TypeKind k : ColumnKindsOf(table)) {
-    done->kinds.push_back(TypeKindName(k));
-  }
-  const std::string csv = TableToCsvTyped(table);
-  std::vector<std::string> frames;
-  // Split at line boundaries, chunk_rows lines per frame (the header line
-  // rides in the first chunk), additionally capped well under the frame
-  // limit so JSON escaping can never push a frame over it.
-  const size_t max_chunk_bytes = options_.max_frame_bytes / 2;
-  size_t pos = 0;
-  uint64_t seq = 0;
-  while (pos < csv.size()) {
-    size_t lines = 0;
-    size_t end = pos;
-    while (end < csv.size() && lines < options_.chunk_rows &&
-           end - pos < max_chunk_bytes) {
-      size_t nl = csv.find('\n', end);
-      if (nl == std::string::npos) {
-        end = csv.size();
-        break;
-      }
-      end = nl + 1;
-      ++lines;
-    }
-    frames.push_back(EncodeChunk(id, seq++, csv.substr(pos, end - pos)));
-    pos = end;
-  }
-  return frames;
-}
-
 void QueryServer::RunRequest(const std::shared_ptr<Connection>& conn,
                              const Request& req,
                              const std::shared_ptr<QueryContext>& ctx,
@@ -685,12 +636,10 @@ void QueryServer::RunRequest(const std::shared_ptr<Connection>& conn,
       std::lock_guard<std::mutex> lock(conn->mu);
       conn->inflight.erase(req.id);
     }
-    ErrorReply err;
-    err.id = req.id;
-    err.status = s;
-    SendError(conn, err);
+    SendError(conn, ErrorReply{.id = req.id, .status = s});
   };
 
+  std::vector<std::string> frames;  // Chunks, when the verb has a table.
   switch (req.verb) {
     case Verb::kQuery:
     case Verb::kExecute: {
@@ -718,20 +667,26 @@ void QueryServer::RunRequest(const std::shared_ptr<Connection>& conn,
         return;
       }
       const AnswerResult& ans = r.value();
-      std::vector<std::string> frames = ChunkTable(req.id, ans.table, &done);
+      Result<std::vector<std::string>> chunks =
+          EncodeChunkFrames(req.id, ans.table, options_.chunk_rows,
+                            options_.max_frame_bytes, pool_);
+      if (!chunks.ok()) {
+        finish_error(chunks.status());
+        return;
+      }
+      frames = std::move(chunks).value();
       stats_.chunks_sent.fetch_add(frames.size(), std::memory_order_relaxed);
+      done.rows = ans.table.num_rows();
+      for (TypeKind k : ColumnKindsOf(ans.table)) {
+        done.kinds.push_back(TypeKindName(k));
+      }
       done.warnings = ans.warnings;
       done.snapshot_version = ans.snapshot_version;
       done.plan_cached = ans.plan_cached;
       done.fingerprint = ans.plan_fingerprint;
-      done.exec_ms = MsBetween(started, Clock::now());
-      frames.push_back(EncodeDone(done));
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        conn->inflight.erase(req.id);
-      }
-      SendFrames(conn, std::move(frames));
-      return;
+      std::lock_guard<std::mutex> lock(conn->mu);
+      conn->inflight.erase(req.id);
+      break;
     }
     case Verb::kExplain: {
       Result<std::string> r = system_->ExplainOptimized(req.sql);
@@ -740,20 +695,12 @@ void QueryServer::RunRequest(const std::shared_ptr<Connection>& conn,
         return;
       }
       done.text = r.value();
-      done.exec_ms = MsBetween(started, Clock::now());
-      std::vector<std::string> frames;
-      frames.push_back(EncodeDone(done));
-      SendFrames(conn, std::move(frames));
-      return;
+      break;
     }
     case Verb::kLint: {
       std::vector<Diagnostic> diags = system_->LintSources();
       done.text = RenderDiagnosticsJson(diags);
-      done.exec_ms = MsBetween(started, Clock::now());
-      std::vector<std::string> frames;
-      frames.push_back(EncodeDone(done));
-      SendFrames(conn, std::move(frames));
-      return;
+      break;
     }
     case Verb::kAudit: {
       const bool json = req.format == "json";
@@ -771,11 +718,7 @@ void QueryServer::RunRequest(const std::shared_ptr<Connection>& conn,
         done.text = json ? RenderAuditJson(report) : RenderAuditText(report);
         done.snapshot_version = report.catalog_version;
       }
-      done.exec_ms = MsBetween(started, Clock::now());
-      std::vector<std::string> frames;
-      frames.push_back(EncodeDone(done));
-      SendFrames(conn, std::move(frames));
-      return;
+      break;
     }
     case Verb::kPrepare: {
       Result<std::shared_ptr<PreparedQuery>> r = system_->Prepare(req.sql);
@@ -793,16 +736,15 @@ void QueryServer::RunRequest(const std::shared_ptr<Connection>& conn,
       done.prepared = pid;
       done.prepared_params = r.value()->num_params();
       done.fingerprint = r.value()->fingerprint();
-      done.exec_ms = MsBetween(started, Clock::now());
-      std::vector<std::string> frames;
-      frames.push_back(EncodeDone(done));
-      SendFrames(conn, std::move(frames));
-      return;
+      break;
     }
     default:
       finish_error(Status::Internal("verb not pool-executable"));
       return;
   }
+  done.exec_ms = MsBetween(started, Clock::now());
+  frames.push_back(EncodeFrame(EncodeDone(done)));
+  SendFrames(conn, std::move(frames));
 }
 
 }  // namespace dynview

@@ -42,7 +42,8 @@ struct ServerOptions {
   size_t chunk_rows = 256;
 
   /// Negotiated maximum frame size, enforced on both inbound declarations
-  /// (oversized header ⇒ connection dropped) and outbound chunking.
+  /// (oversized header ⇒ connection dropped) and outbound chunking (a row
+  /// too large for one frame fails its request with kResourceExhausted).
   size_t max_frame_bytes = 8u << 20;
 
   /// Concurrent connections; further accepts are refused with a
@@ -87,8 +88,8 @@ struct ServerStats {
 ///     request parsing, write flushing). Nothing else touches sockets.
 ///   * Admitted requests run on the shared ThreadPool (the engine's own
 ///     pool, so intra-query morsel parallelism and cross-request
-///     parallelism draw from one budget; nested ParallelFor degrades to
-///     inline execution on a worker, by the pool's design). Workers never
+///     parallelism draw from one budget: a request's fan-out and its reply
+///     encoding borrow only the workers idle at that moment). Workers never
 ///     write to sockets — they append encoded frames to the connection's
 ///     outbox and wake the reactor through a self-pipe.
 ///   * AdmissionController (server/admission.h) bounds everything in
@@ -166,17 +167,16 @@ class QueryServer {
                   const std::shared_ptr<QueryContext>& ctx,
                   std::chrono::steady_clock::time_point admitted_at);
 
-  /// Appends encoded frames to the connection outbox (dropped when the
-  /// connection died) and wakes the reactor to flush. Any thread.
+  /// Moves whole frames (length header included) into the connection
+  /// outbox (dropped when the connection died) and wakes the reactor to
+  /// flush. Any thread. `Send` frames a single payload first.
   void SendFrames(const std::shared_ptr<Connection>& conn,
-                  std::vector<std::string> payloads);
+                  std::vector<std::string> frames);
+  void Send(const std::shared_ptr<Connection>& conn,
+            const std::string& payload);
   void SendError(const std::shared_ptr<Connection>& conn,
                  const ErrorReply& error);
   void WakeReactor();
-
-  /// Splits a typed-CSV rendering into ≤chunk_rows-line frame payloads.
-  std::vector<std::string> ChunkTable(uint64_t id, const Table& table,
-                                      DoneReply* done) const;
 
   IntegrationSystem* system_;
   ServerOptions options_;

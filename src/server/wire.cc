@@ -1,6 +1,5 @@
 #include "server/wire.h"
 
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 
@@ -15,56 +14,48 @@ constexpr int kMaxDepth = 64;
 // --- Frames ----------------------------------------------------------------
 
 std::string EncodeFrame(const std::string& payload) {
-  std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  uint32_t n = static_cast<uint32_t>(payload.size());
-  out.push_back(static_cast<char>(n & 0xff));
-  out.push_back(static_cast<char>((n >> 8) & 0xff));
-  out.push_back(static_cast<char>((n >> 16) & 0xff));
-  out.push_back(static_cast<char>((n >> 24) & 0xff));
+  std::string out(kFrameHeaderBytes, '\0');
   out += payload;
+  PatchFrameHeader(&out);
   return out;
+}
+
+void PatchFrameHeader(std::string* frame) {
+  const size_t n = frame->size() - kFrameHeaderBytes;
+  for (size_t b = 0; b < kFrameHeaderBytes; ++b) {
+    (*frame)[b] = static_cast<char>((n >> (8 * b)) & 0xff);
+  }
 }
 
 Status FrameDecoder::Feed(const char* data, size_t len) {
   if (broken_) return error_;
   buf_.append(data, len);
-  // Validate every complete header currently visible. Only the first one
-  // can be checked cheaply (later ones shift as frames pop), but the first
-  // is the one that matters: Next() never pops past a poisoned header.
-  if (buf_.size() >= kFrameHeaderBytes) {
-    uint32_t n = static_cast<uint8_t>(buf_[0]) |
-                 (static_cast<uint32_t>(static_cast<uint8_t>(buf_[1])) << 8) |
-                 (static_cast<uint32_t>(static_cast<uint8_t>(buf_[2])) << 16) |
-                 (static_cast<uint32_t>(static_cast<uint8_t>(buf_[3])) << 24);
-    if (n > max_) {
-      broken_ = true;
-      error_ = Status::ResourceExhausted(
-          "frame declares " + std::to_string(n) + " bytes > max " +
-          std::to_string(max_));
-      return error_;
-    }
-  }
-  return Status::OK();
+  // Only the first complete header can be checked cheaply (later ones shift
+  // as frames pop), but it is the one that matters: Next() never pops past
+  // a poisoned header.
+  DeclaredLength();
+  return broken_ ? error_ : Status::OK();
 }
 
 bool FrameDecoder::Next(std::string* out) {
-  if (broken_ || buf_.size() < kFrameHeaderBytes) return false;
-  uint32_t n = static_cast<uint8_t>(buf_[0]) |
-               (static_cast<uint32_t>(static_cast<uint8_t>(buf_[1])) << 8) |
-               (static_cast<uint32_t>(static_cast<uint8_t>(buf_[2])) << 16) |
-               (static_cast<uint32_t>(static_cast<uint8_t>(buf_[3])) << 24);
-  if (n > max_) {
-    broken_ = true;
-    error_ = Status::ResourceExhausted(
-        "frame declares " + std::to_string(n) + " bytes > max " +
-        std::to_string(max_));
-    return false;
-  }
-  if (buf_.size() < kFrameHeaderBytes + n) return false;
+  const size_t n = DeclaredLength();
+  if (n == kNoFrame || buf_.size() < kFrameHeaderBytes + n) return false;
   out->assign(buf_, kFrameHeaderBytes, n);
   buf_.erase(0, kFrameHeaderBytes + n);
   return true;
+}
+
+size_t FrameDecoder::DeclaredLength() {
+  if (broken_ || buf_.size() < kFrameHeaderBytes) return kNoFrame;
+  size_t n = 0;
+  for (size_t b = 0; b < kFrameHeaderBytes; ++b) {
+    n |= static_cast<size_t>(static_cast<uint8_t>(buf_[b])) << (8 * b);
+  }
+  if (n <= max_) return n;
+  broken_ = true;
+  error_ = Status::ResourceExhausted("frame declares " + std::to_string(n) +
+                                     " bytes > max " + std::to_string(max_));
+  return kNoFrame;
 }
 
 // --- JSON model ------------------------------------------------------------
@@ -366,8 +357,13 @@ Result<JsonValue> JsonParse(const std::string& text) {
 
 // --- JSON writer -----------------------------------------------------------
 
-void JsonEscapeTo(std::string& out, const std::string& s) {
-  for (char c : s) {
+void JsonEscapeTo(std::string& out, std::string_view s) {
+  size_t run = 0;  // Start of the pending run of bytes that need no escape.
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -376,17 +372,14 @@ void JsonEscapeTo(std::string& out, const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        const char* hex = "0123456789abcdef";
+        const char u[] = {'\\', 'u', '0', '0', hex[c >> 4], hex[c & 0xf]};
+        out.append(u, sizeof(u));
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
 }
 
 void JsonWriter::Comma() {
@@ -394,41 +387,32 @@ void JsonWriter::Comma() {
   need_comma_.back() = true;
 }
 
-JsonWriter& JsonWriter::BeginObject() {
+JsonWriter& JsonWriter::Open(char bracket) {
   Comma();
-  out_.push_back('{');
+  out_.push_back(bracket);
   need_comma_.push_back(false);
   return *this;
 }
 
-JsonWriter& JsonWriter::EndObject() {
-  out_.push_back('}');
+JsonWriter& JsonWriter::Close(char bracket) {
+  out_.push_back(bracket);
   need_comma_.pop_back();
   return *this;
 }
 
-JsonWriter& JsonWriter::BeginArray() {
-  Comma();
-  out_.push_back('[');
-  need_comma_.push_back(false);
-  return *this;
-}
-
-JsonWriter& JsonWriter::EndArray() {
-  out_.push_back(']');
-  need_comma_.pop_back();
-  return *this;
-}
+JsonWriter& JsonWriter::BeginObject() { return Open('{'); }
+JsonWriter& JsonWriter::EndObject() { return Close('}'); }
+JsonWriter& JsonWriter::BeginArray() { return Open('['); }
+JsonWriter& JsonWriter::EndArray() { return Close(']'); }
 
 JsonWriter& JsonWriter::Key(const std::string& key) {
   Comma();
   out_.push_back('"');
   JsonEscapeTo(out_, key);
   out_ += "\":";
-  // The value after a key must not emit a comma of its own.
+  // The value after a key must not emit a comma of its own: its Comma()
+  // sees false (skips), then sets it back to true for the next field.
   need_comma_.back() = false;
-  // Mark that after the value, a comma is needed again: the value call's
-  // Comma() sees false (skips), then sets it back to true.
   return *this;
 }
 
@@ -440,41 +424,16 @@ JsonWriter& JsonWriter::String(const std::string& v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Int(int64_t v) {
-  Comma();
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out_ += buf;
-  return *this;
-}
-
-JsonWriter& JsonWriter::UInt(uint64_t v) {
-  Comma();
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out_ += buf;
-  return *this;
-}
-
 JsonWriter& JsonWriter::Double(double v) {
-  Comma();
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out_ += buf;
-  return *this;
+  return Raw(buf);
 }
 
-JsonWriter& JsonWriter::Bool(bool v) {
-  Comma();
-  out_ += v ? "true" : "false";
-  return *this;
-}
-
-JsonWriter& JsonWriter::Null() {
-  Comma();
-  out_ += "null";
-  return *this;
-}
+JsonWriter& JsonWriter::Int(int64_t v) { return Raw(std::to_string(v)); }
+JsonWriter& JsonWriter::UInt(uint64_t v) { return Raw(std::to_string(v)); }
+JsonWriter& JsonWriter::Bool(bool v) { return Raw(v ? "true" : "false"); }
+JsonWriter& JsonWriter::Null() { return Raw("null"); }
 
 JsonWriter& JsonWriter::Raw(const std::string& json) {
   Comma();

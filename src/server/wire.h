@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -26,6 +27,10 @@ inline constexpr size_t kFrameHeaderBytes = 4;
 
 /// Serializes `payload` as one frame (header + bytes).
 std::string EncodeFrame(const std::string& payload);
+
+/// Writes the length header of `frame`, a payload written after
+/// kFrameHeaderBytes reserved bytes (frames encoded in place).
+void PatchFrameHeader(std::string* frame);
 
 /// Incremental frame splitter: feed bytes as they arrive, pop complete
 /// payloads. Tolerates payloads split across arbitrarily many reads.
@@ -51,6 +56,11 @@ class FrameDecoder {
   const Status& error() const { return error_; }
 
  private:
+  static constexpr size_t kNoFrame = ~size_t{0};
+  /// The first buffered frame's declared length; kNoFrame while the header
+  /// is incomplete or once a declaration above the maximum broke the stream.
+  size_t DeclaredLength();
+
   size_t max_;
   std::string buf_;
   bool broken_ = false;
@@ -119,6 +129,8 @@ class JsonWriter {
 
  private:
   void Comma();
+  JsonWriter& Open(char bracket);
+  JsonWriter& Close(char bracket);
   std::string out_;
   /// True when the next value/key at the current nesting level needs a
   /// preceding comma.
@@ -126,7 +138,7 @@ class JsonWriter {
 };
 
 /// Appends the RFC 8259 escaping of `s` (without quotes) to `out`.
-void JsonEscapeTo(std::string& out, const std::string& s);
+void JsonEscapeTo(std::string& out, std::string_view s);
 
 }  // namespace dynview
 

@@ -7,8 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -197,6 +204,100 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
     pool.ParallelFor(8, [&](size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 64);
+}
+
+// Runs `body` on a worker of `pool` and waits for it to return.
+void RunOnWorker(ThreadPool& pool, const std::function<void()>& body) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  pool.Submit([&] {
+    body();
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+    cv.notify_all();
+  });
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return done; });
+}
+
+TEST(ThreadPoolTest, NestedParallelForBorrowsIdleWorkers) {
+  ThreadPool pool(3);
+  // Workers count as idle once they wait on the queue; a freshly started
+  // one may not have got there yet, so allow a few tries.
+  size_t most_threads = 0;
+  for (int attempt = 0; attempt < 50 && most_threads < 2; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    std::vector<std::atomic<int>> hits(64);
+    RunOnWorker(pool, [&] {
+      pool.ParallelFor(hits.size(), [&](size_t i) {
+        hits[i].fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        std::lock_guard<std::mutex> lock(mu);
+        threads.insert(std::this_thread::get_id());
+      });
+    });
+    for (size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i].load(), 1);
+    most_threads = std::max(most_threads, threads.size());
+  }
+  EXPECT_GT(most_threads, 1u);
+}
+
+TEST(ThreadPoolTest, NestedParallelForOnBusyPoolQueuesNoHelper) {
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool blocker_started = false;
+  bool release = false;
+  pool.Submit([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    blocker_started = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return blocker_started; });
+  }
+  // One worker is blocked and the other runs the nested loop: none idle.
+  std::vector<std::atomic<int>> hits(200);
+  std::atomic<size_t> max_depth{0};
+  RunOnWorker(pool, [&] {
+    pool.ParallelFor(hits.size(), [&](size_t i) {
+      hits[i].fetch_add(1);
+      const size_t depth = pool.ApproxQueueDepth();
+      if (depth > max_depth.load()) max_depth.store(depth);
+    });
+  });
+  EXPECT_EQ(max_depth.load(), 0u);
+  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+}
+
+TEST(ThreadPoolTest, CancelledNestedParallelForSkipsTheRest) {
+  ThreadPool pool(3);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::atomic<bool> cancel{false};
+  std::atomic<int> ran{0};
+  RunOnWorker(pool, [&] {
+    pool.ParallelFor(
+        10000,
+        [&](size_t) {
+          if (ran.fetch_add(1) >= 10) cancel.store(true);
+        },
+        &cancel);
+  });
+  // The eleventh iteration trips the flag. Each of the four threads may
+  // still finish one iteration it began and one it had already checked;
+  // nothing claimed after the trip runs.
+  EXPECT_GE(ran.load(), 11);
+  EXPECT_LT(ran.load(), 20);
 }
 
 TEST(ThreadPoolTest, ZeroWorkersRunsInline) {

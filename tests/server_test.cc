@@ -134,6 +134,246 @@ TEST(WireTest, JsonRoundTripsEscapesAndRejectsMalformed) {
   EXPECT_FALSE(JsonParse(deep).ok());
 }
 
+// --- Reply chunk frames ----------------------------------------------------
+
+// The chunk frames as the server built them before it encoded them from the
+// rows: the whole typed CSV cut after every '\n', `chunk_rows` lines a chunk,
+// each chunk one JSON object framed on its own. A faithful reference while
+// no string cell holds a newline and no chunk nears the frame cap.
+std::vector<std::string> LineSplitChunkFrames(uint64_t id, const Table& table,
+                                              size_t chunk_rows) {
+  const std::string csv = TableToCsvTyped(table);
+  std::vector<std::string> frames;
+  uint64_t seq = 0;
+  for (size_t pos = 0; pos < csv.size();) {
+    size_t end = pos;
+    for (size_t lines = 0; lines < chunk_rows && end < csv.size(); ++lines) {
+      end = csv.find('\n', end) + 1;
+    }
+    JsonWriter w;
+    w.BeginObject();
+    w.Key("id").UInt(id);
+    w.Key("type").String("chunk");
+    w.Key("seq").UInt(seq++);
+    w.Key("csv").String(csv.substr(pos, end - pos));
+    w.EndObject();
+    frames.push_back(EncodeFrame(w.str()));
+    pos = end;
+  }
+  return frames;
+}
+
+// Decodes whole frames (each must be exactly one frame within
+// `max_frame_bytes`) and returns their JSON payloads.
+std::vector<JsonValue> DecodeFrames(const std::vector<std::string>& frames,
+                                    size_t max_frame_bytes) {
+  std::vector<JsonValue> docs;
+  for (const std::string& frame : frames) {
+    FrameDecoder decoder(max_frame_bytes);
+    EXPECT_TRUE(decoder.Feed(frame.data(), frame.size()).ok());
+    std::string payload;
+    EXPECT_TRUE(decoder.Next(&payload));
+    EXPECT_FALSE(decoder.HasPartial());
+    Result<JsonValue> doc = JsonParse(payload);
+    EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+    docs.push_back(doc.ok() ? doc.value() : JsonValue());
+  }
+  return docs;
+}
+
+// Rows whose strings hold every byte that CSV quoting or JSON escaping
+// rewrites, among INT, DATE, DOUBLE and NULL cells.
+Table AwkwardTable(size_t rows) {
+  const char* strings[] = {"plain",     "line\nbreak", "say \"hi\"",
+                           "back\\slash", "tab\there",   "ctl\x01\x1f",
+                           "",          "comma,sep",   "\r\n\"\n"};
+  Table t(Schema({Column("k", TypeKind::kInt), Column("s", TypeKind::kString),
+                  Column("d", TypeKind::kDate),
+                  Column("x", TypeKind::kDouble)}));
+  for (size_t i = 0; i < rows; ++i) {
+    t.AppendRowUnchecked(
+        {Value::Int(static_cast<int64_t>(i) - 3),
+         i % 10 == 9 ? Value::Null() : Value::String(strings[i % 9]),
+         Value::MakeDate(Date(static_cast<int32_t>(i * 37))),
+         i % 7 == 0 ? Value::Null() : Value::Double(0.1 * i)});
+  }
+  return t;
+}
+
+// Every chunk of `frames` parses on its own as whole CSV records (chunks
+// after the first get the header line prepended) that equal `table`'s rows
+// in order, at most `chunk_rows` lines a chunk, and the concatenated CSV is
+// TableToCsvTyped.
+void ExpectWholeRowChunks(const std::vector<std::string>& frames,
+                          const Table& table, size_t chunk_rows,
+                          size_t max_frame_bytes) {
+  const std::string expected = TableToCsvTyped(table);
+  const std::string header = expected.substr(0, expected.find('\n') + 1);
+  const std::vector<TypeKind> kinds = ColumnKindsOf(table);
+  std::string concatenated;
+  size_t row = 0;
+  uint64_t seq = 0;
+  for (const JsonValue& doc : DecodeFrames(frames, max_frame_bytes)) {
+    EXPECT_EQ(doc.GetString("type"), "chunk");
+    EXPECT_EQ(static_cast<uint64_t>(doc.GetInt("seq", -1)), seq);
+    const std::string csv = doc.GetString("csv");
+    concatenated += csv;
+    Result<Table> part = TableFromCsvTyped(seq == 0 ? csv : header + csv, kinds);
+    ASSERT_TRUE(part.ok()) << "chunk " << seq << ": "
+                           << part.status().ToString();
+    EXPECT_LE(part.value().num_rows() + (seq == 0 ? 1 : 0), chunk_rows);
+    for (const Row& r : part.value().rows()) {
+      ASSERT_LT(row, table.num_rows());
+      for (size_t c = 0; c < r.size(); ++c) {
+        EXPECT_TRUE(r[c].GroupEquals(table.row(row)[c]))
+            << "row " << row << " column " << c;
+      }
+      ++row;
+    }
+    ++seq;
+  }
+  EXPECT_EQ(row, table.num_rows());
+  EXPECT_EQ(concatenated, expected);
+}
+
+TEST_F(ServerTest, ChunkFramesAreByteIdenticalToTheLineSplitReference) {
+  IntegrationSystem system(&catalog_, "s2");
+  AnswerOptions options;
+  options.multiset = true;
+  auto answer = system.AnswerGuarded(kFanOut, options);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  const Table& table = answer.value().table;
+  ThreadPool pool(3), serial(0);
+  for (size_t chunk_rows : {1u, 4u, 256u, 1u << 20}) {
+    const std::vector<std::string> want =
+        LineSplitChunkFrames(42, table, chunk_rows);
+    for (ThreadPool* p : {&serial, &pool}) {
+      auto got = EncodeChunkFrames(42, table, chunk_rows, 8u << 20, p);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got.value(), want) << "chunk_rows=" << chunk_rows;
+    }
+  }
+  // A header-only reply is one chunk.
+  const Table empty(table.schema());
+  auto got = EncodeChunkFrames(1, empty, 256, 8u << 20, &pool);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value(), LineSplitChunkFrames(1, empty, 256));
+}
+
+TEST(ChunkFrameTest, ChunksHoldWholeRowsWhateverTheStrings) {
+  const Table table = AwkwardTable(50);
+  ThreadPool pool(3);
+  for (size_t chunk_rows : {1u, 2u, 7u, 256u}) {
+    SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows));
+    auto frames = EncodeChunkFrames(3, table, chunk_rows, 8u << 20, &pool);
+    ASSERT_TRUE(frames.ok()) << frames.status().ToString();
+    ExpectWholeRowChunks(frames.value(), table, chunk_rows, 8u << 20);
+  }
+}
+
+TEST(ChunkFrameTest, FramesRespectMaxFrameBytesAfterEscaping) {
+  // Each \x01 escapes to six bytes: a row of 20 is ~20 raw bytes but
+  // ~130 encoded, so the cap, not chunk_rows, cuts these chunks.
+  Table table(Schema({Column("k", TypeKind::kInt),
+                      Column("s", TypeKind::kString)}));
+  for (int i = 0; i < 40; ++i) {
+    table.AppendRowUnchecked(
+        {Value::Int(i), Value::String(std::string(20, '\x01'))});
+  }
+  constexpr size_t kMax = 400;
+  ThreadPool pool(3), serial(0);
+  for (ThreadPool* p : {&serial, &pool}) {
+    auto frames = EncodeChunkFrames(9, table, 256, kMax, p);
+    ASSERT_TRUE(frames.ok()) << frames.status().ToString();
+    EXPECT_GT(frames.value().size(), 10u);
+    for (const std::string& f : frames.value()) {
+      EXPECT_LE(f.size() - kFrameHeaderBytes, kMax);
+    }
+    ExpectWholeRowChunks(frames.value(), table, 256, kMax);
+  }
+  // A row that cannot fit in any frame fails the reply, naming its size.
+  table.AppendRowUnchecked(
+      {Value::Int(40), Value::String(std::string(100, '\x01'))});
+  auto frames = EncodeChunkFrames(9, table, 256, kMax, &pool);
+  ASSERT_FALSE(frames.ok());
+  EXPECT_EQ(frames.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(frames.status().message().find("reply row 40 encodes to 609 bytes"),
+            std::string::npos)
+      << frames.status().ToString();
+}
+
+TEST_F(ServerTest, ServedChunksHoldWholeRowsAndOversizedRowsFailTyped) {
+  ASSERT_TRUE(catalog_.PutTable("odd", "t", AwkwardTable(50)).ok());
+  Table wide(Schema({Column("s", TypeKind::kString)}));
+  wide.AppendRowUnchecked({Value::String(std::string(2000, '\x02'))});
+  ASSERT_TRUE(catalog_.PutTable("odd", "wide", wide).ok());
+  IntegrationSystem system(&catalog_, "s2");
+  ServerOptions sopts;
+  sopts.chunk_rows = 3;
+  sopts.max_frame_bytes = 4096;
+  QueryServer server(&system, sopts);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = ServerClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+
+  const char* sql = "select T.k, T.s, T.d, T.x from odd::t T";
+  AnswerOptions options;
+  options.multiset = true;
+  auto expected = system.AnswerGuarded(sql, options);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ClientQueryOptions qopts;
+  qopts.multiset = true;
+  auto reply = client.value()->Query(sql, qopts);
+  ASSERT_TRUE(reply.ok());
+  ASSERT_TRUE(reply.value().status.ok()) << reply.value().status.ToString();
+  EXPECT_EQ(reply.value().csv, TableToCsvTyped(expected.value().table));
+  EXPECT_EQ(reply.value().rows, 50u);
+  EXPECT_EQ(reply.value().chunks, 17u);  // 51 lines, 3 a chunk.
+
+  // 2000 control bytes escape to 12,000: a typed error, and the session
+  // keeps serving.
+  auto too_wide = client.value()->Query("select T.s from odd::wide T", qopts);
+  ASSERT_TRUE(too_wide.ok());
+  EXPECT_EQ(too_wide.value().status.code(), StatusCode::kResourceExhausted)
+      << too_wide.value().status.ToString();
+  EXPECT_NE(too_wide.value().status.message().find("reply row 0 encodes to"),
+            std::string::npos);
+  EXPECT_EQ(too_wide.value().chunks, 0u);
+  auto again = client.value()->Query(sql, qopts);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value().csv, reply.value().csv);
+  server.Stop();
+}
+
+TEST_F(ServerTest, ServedAnswersAreIdenticalAtEveryThreadCount) {
+  std::string reference;
+  for (size_t threads : {1u, 2u, 4u}) {
+    IntegrationOptions iopts;
+    iopts.exec.num_threads = threads;
+    IntegrationSystem system(&catalog_, "s2", iopts);
+    ServerOptions sopts;
+    sopts.chunk_rows = 16;
+    QueryServer server(&system, sopts);
+    ASSERT_TRUE(server.Start().ok());
+    auto client = ServerClient::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(client.ok());
+    ClientQueryOptions qopts;
+    qopts.multiset = true;
+    auto reply = client.value()->Query(kFanOut, qopts);
+    ASSERT_TRUE(reply.ok());
+    ASSERT_TRUE(reply.value().status.ok()) << reply.value().status.ToString();
+    if (reference.empty()) {
+      AnswerOptions options;
+      options.multiset = true;
+      auto serial = system.AnswerGuarded(kFanOut, options);
+      ASSERT_TRUE(serial.ok());
+      reference = TableToCsvTyped(serial.value().table);
+    }
+    EXPECT_EQ(reply.value().csv, reference) << threads << " threads";
+    server.Stop();
+  }
+}
+
 // --- Query execution over the wire -----------------------------------------
 
 TEST_F(ServerTest, ConcurrentSessionsMatchInProcessAnswersByteForByte) {
